@@ -47,18 +47,6 @@ class SuiteScore:
     contributions: dict[str, float] = field(default_factory=dict)
     total_weight: float = 0.0
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SuiteScore):
-            return NotImplemented
-        return (
-            self.score == other.score
-            and self.contributions == other.contributions
-            and self.total_weight == other.total_weight
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.score, self.total_weight))
-
 
 @dataclass(frozen=True)
 class RatioRow:

@@ -28,18 +28,6 @@ class CoverageReport:
     deviation: dict[str, float]
     total_weight: float
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoverageReport):
-            return NotImplemented
-        return (
-            self.proportions == other.proportions
-            and self.deviation == other.deviation
-            and self.total_weight == other.total_weight
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.total_weight)
-
 
 def coverage_proportions(cfg: SuiteConfig) -> CoverageReport:
     """Weighted tag proportions of the enabled suite, per design dimension.
@@ -131,18 +119,6 @@ class ClassMetrics:
     classes: tuple[str, ...]
     precision: dict[str, float | None]
     recall: dict[str, float | None]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClassMetrics):
-            return NotImplemented
-        return (
-            self.classes == other.classes
-            and self.precision == other.precision
-            and self.recall == other.recall
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.classes)
 
     def rounded(self) -> dict[str, tuple[int | None, int | None]]:
         def nearest(x: float | None) -> int | None:

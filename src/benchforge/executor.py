@@ -4,7 +4,8 @@ Benchmarks execute sequentially in suite order so results stay
 uncontaminated; the processes of one benchmark run concurrently across
 the declared device pool. Every child gets a dedicated metric channel
 (a pipe named via BENCHFORGE_METRICS_FD); stderr passes through
-untouched.
+untouched. One select loop per child (``supervise``) reads the pipe, watches
+the exit and the timeout, and then kills the child's whole process group.
 
 Run layout: ``<base>/runs/<stamp>/<bench>/<rank>.jsonl`` plus
 ``meta.json``, ``suite.yaml`` and per-benchmark ``outcomes.json``.
@@ -15,10 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import selectors
 import shlex
 import signal
 import subprocess
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -36,6 +37,8 @@ from .suite import BenchmarkSpec, SuiteConfig, render_suite
 
 INSTALL_STAMP = ".installed"
 PREPARE_STAMP = ".prepared"
+# Longest a child's metric pipe is read after the child exited or was killed.
+DRAIN_S = 1.0
 
 
 class ExecutorError(RuntimeError):
@@ -204,7 +207,7 @@ def plan_launches(
 
 def log_from_events(events: list[MetricEvent], process_id: str) -> ObservationLog:
     """Rebuild an observation log from a decoded event stream."""
-    log = ObservationLog(process_id=process_id, raw_events=list(events))
+    log = ObservationLog(process_id=process_id)
     terminal = None
     for event in events:
         if event.event == "rate":
@@ -238,28 +241,25 @@ def log_from_events(events: list[MetricEvent], process_id: str) -> ObservationLo
 def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
     """Launch one planned child and follow it to an outcome.
 
-    The raw metric stream is captured verbatim to
-    ``out_dir/<rank>.jsonl`` while being decoded. Classification:
-    success iff the child exited 0, its log ended in success, and it
-    gathered at least obs_min observations; a stalled child is killed at
-    timeout_s (whole process group) and classified timeout.
+    One select loop in the calling thread reads the metric pipe (captured
+    verbatim to ``out_dir/<rank>.jsonl`` while decoded) and watches a
+    pidfd of the child until it exits or timeout_s passes. Then it kills
+    the child's whole process group, reaps the child, and drains the pipe
+    for at most DRAIN_S seconds. Classification: success iff the child
+    exited 0, its log ended in success, and it gathered at least obs_min
+    observations; a child still running at timeout_s is a timeout.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stream_path = out_dir / f"{plan.rank}.jsonl"
 
     read_fd, write_fd = os.pipe()
-    env = dict(os.environ)
-    env.update(plan.env)
-    env["BENCHFORGE_METRICS_FD"] = str(write_fd)
+    env = {**os.environ, **plan.env, "BENCHFORGE_METRICS_FD": str(write_fd)}
 
     started = time.monotonic()
     try:
         proc = subprocess.Popen(
-            plan.command,
-            env=env,
-            pass_fds=(write_fd,),
-            start_new_session=True,
+            plan.command, env=env, pass_fds=(write_fd,), start_new_session=True
         )
     except OSError as exc:
         os.close(read_fd)
@@ -269,35 +269,39 @@ def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
         return ProcessOutcome(plan, log, exit_code=-1, duration_s=0.0, classified="error")
     os.close(write_fd)
 
+    pidfd = os.pidfd_open(proc.pid)
+    deadline = started + plan.timeout_s
+    decoder = StreamDecoder()
     events: list[MetricEvent] = []
-
-    def pump() -> None:
-        decoder = StreamDecoder()
-        with open(stream_path, "wb") as capture:
-            while True:
-                chunk = os.read(read_fd, 65536)
-                if not chunk:
-                    break
-                capture.write(chunk)
-                events.extend(events_only(decoder.feed(chunk)))
-            events.extend(events_only(decoder.finish()))
-        os.close(read_fd)
-
-    reader = threading.Thread(target=pump, daemon=True)
-    reader.start()
-
-    timed_out = False
+    exit_code = None
     try:
-        exit_code = proc.wait(timeout=plan.timeout_s)
-    except subprocess.TimeoutExpired:
-        timed_out = True
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            proc.kill()
-        exit_code = proc.wait()
-    duration = time.monotonic() - started
-    reader.join(timeout=10.0)
+        with open(stream_path, "wb") as capture, selectors.DefaultSelector() as sel:
+            sel.register(read_fd, selectors.EVENT_READ)
+            sel.register(pidfd, selectors.EVENT_READ)
+            while sel.get_map() and (exit_code is None or time.monotonic() < deadline):
+                # epoll refuses waits over ~24 days; a later deadline is re-checked daily.
+                ready = {key.fd for key, _ in sel.select(min(deadline - time.monotonic(), 86400))}
+                if read_fd in ready:
+                    chunk = os.read(read_fd, 65536)
+                    if not chunk:
+                        sel.unregister(read_fd)
+                    capture.write(chunk)
+                    events.extend(events_only(decoder.feed(chunk)))
+                if exit_code is None and (pidfd in ready or time.monotonic() >= deadline):
+                    timed_out = pidfd not in ready
+                    # The unreaped child pins its pgid, so this kills only its group.
+                    try:
+                        os.killpg(proc.pid, signal.SIGKILL)
+                    except OSError:
+                        proc.kill()
+                    exit_code = proc.wait()
+                    duration = time.monotonic() - started
+                    sel.unregister(pidfd)
+                    deadline = time.monotonic() + DRAIN_S
+            events.extend(events_only(decoder.finish()))
+    finally:
+        os.close(read_fd)
+        os.close(pidfd)
 
     log = log_from_events(events, process_id=f"{plan.bench}/{plan.rank}")
     if timed_out:
@@ -309,13 +313,15 @@ def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
         classified = "error"
         if exit_code == 0 and len(log.observations) < plan.obs_min:
             log.message = log.message or "insufficient observations"
-    return ProcessOutcome(
-        plan, log, exit_code=exit_code, duration_s=duration, classified=classified
-    )
+    return ProcessOutcome(plan, log, exit_code, duration, classified)
 
 
 def _stamp_token(command: str) -> str:
     return hashlib.sha256(command.encode("utf-8")).hexdigest()
+
+
+def _stamp_ok(stamp_path: Path, command: str) -> bool:
+    return stamp_path.exists() and stamp_path.read_text() == _stamp_token(command)
 
 
 def _setup_phase(
@@ -336,15 +342,11 @@ def _setup_phase(
             statuses[bench.name] = "not-required"
             continue
         if requires_install and bench.install_cmd:
-            install_stamp = base_dir / "envs" / bench.name / INSTALL_STAMP
-            if not (
-                install_stamp.exists()
-                and install_stamp.read_text() == _stamp_token(bench.install_cmd)
-            ):
+            if not _stamp_ok(base_dir / "envs" / bench.name / INSTALL_STAMP, bench.install_cmd):
                 statuses[bench.name] = "blocked: install incomplete"
                 continue
         stamp = bench_dir / stamp_name
-        if stamp.exists() and stamp.read_text() == _stamp_token(command):
+        if _stamp_ok(stamp, command):
             statuses[bench.name] = "skipped"
             continue
         bench_dir.mkdir(parents=True, exist_ok=True)
@@ -395,14 +397,12 @@ def prepare(cfg: SuiteConfig, base_dir: Path | str) -> dict[str, str]:
 
 
 def _setup_complete(bench: BenchmarkSpec, base_dir: Path) -> str | None:
-    if bench.install_cmd:
-        stamp = base_dir / "envs" / bench.name / INSTALL_STAMP
-        if not (stamp.exists() and stamp.read_text() == _stamp_token(bench.install_cmd)):
-            return f"benchmark {bench.name!r}: install not completed (run `benchforge install`)"
-    if bench.prepare_cmd:
-        stamp = base_dir / "data" / bench.name / PREPARE_STAMP
-        if not (stamp.exists() and stamp.read_text() == _stamp_token(bench.prepare_cmd)):
-            return f"benchmark {bench.name!r}: prepare not completed (run `benchforge prepare`)"
+    install_stamp = base_dir / "envs" / bench.name / INSTALL_STAMP
+    if bench.install_cmd and not _stamp_ok(install_stamp, bench.install_cmd):
+        return f"benchmark {bench.name!r}: install not completed (run `benchforge install`)"
+    prepare_stamp = base_dir / "data" / bench.name / PREPARE_STAMP
+    if bench.prepare_cmd and not _stamp_ok(prepare_stamp, bench.prepare_cmd):
+        return f"benchmark {bench.name!r}: prepare not completed (run `benchforge prepare`)"
     return None
 
 

@@ -52,19 +52,6 @@ class MetricEvent:
         if self.event not in EVENT_KINDS:
             raise ProtocolError(f"unknown event kind {self.event!r}")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MetricEvent):
-            return NotImplemented
-        return (
-            self.event == other.event
-            and self.time == other.time
-            and self.task == other.task
-            and self.data == other.data
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.event, self.time, self.task))
-
 
 @dataclass(frozen=True)
 class Rejection:
@@ -109,7 +96,6 @@ class ObservationLog:
     process_id: str
     observations: list[Observation] = field(default_factory=list)
     terminal: str = "error"  # one of {success, error, timeout}
-    raw_events: list[MetricEvent] = field(default_factory=list)
     faults: int = 0  # timing tuples dropped at flush (end before start)
     message: str = ""
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import fnmatch
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -72,14 +73,6 @@ class CoverageTargets:
 
     dimensions: dict[str, dict[str, float]] = field(default_factory=dict)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoverageTargets):
-            return NotImplemented
-        return self.dimensions == other.dimensions
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.dimensions)))
-
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
@@ -98,31 +91,6 @@ class BenchmarkSpec:
     obs_max: int = DEFAULT_OBS_MAX
     timeout_s: float = DEFAULT_TIMEOUT_S
     tags: TaxonomyTags | None = None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BenchmarkSpec):
-            return NotImplemented
-        return all(
-            getattr(self, f) == getattr(other, f)
-            for f in (
-                "name",
-                "weight",
-                "enabled",
-                "scale",
-                "install_cmd",
-                "prepare_cmd",
-                "run_cmd",
-                "env",
-                "unit_of_work",
-                "obs_min",
-                "obs_max",
-                "timeout_s",
-                "tags",
-            )
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.weight, self.scale))
 
 
 @dataclass(frozen=True)
@@ -215,7 +183,9 @@ def validate_suite(cfg: SuiteConfig) -> list[str]:
         violations.append("suite: at least one benchmark required")
     for bench in cfg.benchmarks:
         where = f"benchmark {bench.name!r}"
-        if bench.weight < 0:
+        if not math.isfinite(bench.weight):
+            violations.append(f"{where}: weight must be finite, got {bench.weight}")
+        elif bench.weight < 0:
             violations.append(f"{where}: weight must be >= 0, got {bench.weight}")
         if bench.obs_min <= 0:
             violations.append(f"{where}: obs_min must be positive, got {bench.obs_min}")
@@ -227,7 +197,9 @@ def validate_suite(cfg: SuiteConfig) -> list[str]:
             violations.append(f"{where}: run_cmd must be non-empty")
         if bench.scale not in SCALE_MODES:
             violations.append(f"{where}: scale must be one of {SCALE_MODES}, got {bench.scale!r}")
-        if bench.timeout_s <= 0:
+        if not math.isfinite(bench.timeout_s):
+            violations.append(f"{where}: timeout_s must be finite, got {bench.timeout_s}")
+        elif bench.timeout_s <= 0:
             violations.append(f"{where}: timeout_s must be positive, got {bench.timeout_s}")
     enabled_weight = sum(b.weight for b in cfg.benchmarks if b.enabled)
     if cfg.benchmarks and enabled_weight <= 0:
@@ -556,6 +528,8 @@ def _number_field(
     value = raw.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SuiteError(f"{context}: '{key}' must be a number")
+    if not math.isfinite(value):
+        raise SuiteError(f"{context}: '{key}' must be a finite number, got {value}")
     if minimum is not None and value < minimum:
         raise SuiteError(f"{context}: '{key}' must be >= {minimum}, got {value}")
     return float(value)

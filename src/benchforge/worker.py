@@ -253,7 +253,6 @@ def timed_iterate(
     clock = VirtualClock()
     log = ObservationLog(process_id=task)
     sink = sink if sink is not None else EventSink()
-    recorded = len(sink.events)
 
     def emit(kind: str, data: dict) -> None:
         sink.emit(MetricEvent(kind, clock.now(), task, data))
@@ -313,7 +312,6 @@ def timed_iterate(
         log.message = str(exc)
         emit("error", {"message": str(exc)})
         emit("end", {})
-        log.raw_events = sink.events[recorded:]
         return log
 
     if len(log.observations) >= cfg.obs_min:
@@ -331,7 +329,6 @@ def timed_iterate(
             },
         )
     emit("end", {})
-    log.raw_events = sink.events[recorded:]
     return log
 
 
@@ -375,7 +372,6 @@ def _iterate_multiworker(
     worker_events.sort(key=lambda e: e.time)
 
     out = sink if sink is not None else EventSink()
-    recorded = len(out.events)
     end_time = worker_events[-1].time if worker_events else 0.0
     out.emit(MetricEvent("config", 0.0, "main", _spec_payload(spec, cfg, seed)))
     for event in worker_events:
@@ -389,7 +385,6 @@ def _iterate_multiworker(
         merged.terminal = "error"
         out.emit(MetricEvent("error", end_time, "main", {"message": merged.message or "worker failed"}))
     out.emit(MetricEvent("end", end_time, "main", {}))
-    merged.raw_events = out.events[recorded:]
     return merged
 
 

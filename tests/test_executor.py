@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -108,6 +109,12 @@ class TestSupervise:
         assert 5 <= len(outcome.log.observations) <= 10
         assert (tmp_path / "out" / "0.jsonl").exists()
 
+    def test_timeout_beyond_longest_select_wait(self, tmp_path):
+        # 1e7 s is past the longest wait epoll accepts (about 24.8 days).
+        bench = worker_bench(timeout_s=1e7)
+        plan = plan_launches(bench, DevicePool(devices=("d0",)), tmp_path)[0]
+        assert supervise(plan, tmp_path / "out").classified == "success"
+
     def test_insufficient_observations_reclassified(self, tmp_path):
         # Worker succeeds by its own config but gathers fewer observations
         # than the benchmark demands.
@@ -167,6 +174,53 @@ class TestSupervise:
         plan = plan_launches(bench, DevicePool(devices=("gpuX",)), tmp_path)[0]
         outcome = supervise(plan, tmp_path / "out")
         assert outcome.exit_code == 0
+
+    def test_lingering_grandchild_is_killed_at_exit(self, tmp_path):
+        # The backgrounded sleep inherits the metric fd and would hold the
+        # pipe open for 5 s after the worker exits. The shell's pid, which
+        # the worker takes over by exec, is the process group id.
+        pid_file = tmp_path / "pgid"
+        bench = BenchmarkSpec(
+            name="linger",
+            run_cmd=f'sh -c "echo $$ > {pid_file}; sleep 5 & '
+            f'exec {WORKER_CMD} --obs-min 5 --obs-max 10 --seed 0"',
+            obs_min=5,
+        )
+        plan = plan_launches(bench, DevicePool(devices=("d0",)), tmp_path)[0]
+        started = time.monotonic()
+        outcome = supervise(plan, tmp_path / "out")
+        assert time.monotonic() - started < outcome.duration_s + 1.0
+        assert outcome.classified == "success"
+        # The killed sleep stays a zombie, still in the group, until init
+        # reaps it; some inits reap only every few seconds.
+        pgid = int(pid_file.read_text())
+        deadline = time.monotonic() + 3.0
+        with pytest.raises(ProcessLookupError):
+            while time.monotonic() < deadline:
+                os.killpg(pgid, 0)
+                time.sleep(0.05)
+
+    def test_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise RuntimeError("supervise must not start a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        plan = plan_launches(worker_bench(), DevicePool(devices=("d0",)), tmp_path)[0]
+        assert supervise(plan, tmp_path / "out").classified == "success"
+
+    def test_closed_metric_fd_does_not_disarm_timeout(self, tmp_path):
+        probe = tmp_path / "probe.py"
+        probe.write_text(
+            "import os, time\n"
+            "os.close(int(os.environ['BENCHFORGE_METRICS_FD']))\n"
+            "time.sleep(30)\n"
+        )
+        bench = BenchmarkSpec(name="mute", run_cmd=f"python3 {probe}", timeout_s=1.0)
+        plan = plan_launches(bench, DevicePool(devices=("d0",)), tmp_path)[0]
+        started = time.monotonic()
+        outcome = supervise(plan, tmp_path / "out")
+        assert outcome.classified == "timeout"
+        assert time.monotonic() - started < 3.0
 
 
 def setup_suite(*benches):

@@ -90,6 +90,17 @@ benchmarks:
         )
         assert cfg.benchmarks[0].name == "a"
 
+    @pytest.mark.parametrize("field", ["weight", "timeout_s"])
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_non_finite_number_rejected(self, field, value):
+        with pytest.raises(SuiteError, match=f"'{field}' must be a finite number"):
+            parse_suite(f"suite: s\nbenchmarks:\n  - {{name: a, run_cmd: w, {field}: {value}}}\n")
+
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_non_finite_default_timeout_rejected(self, value):
+        with pytest.raises(SuiteError, match="'timeout_s' must be a finite number"):
+            parse_suite(f"suite: s\ndefaults: {{timeout_s: {value}}}\nbenchmarks:\n  - {{name: a, run_cmd: w}}\n")
+
 
 class TestValidate:
     def test_reference_suite_is_clean(self, reference_suite):
@@ -108,6 +119,21 @@ class TestValidate:
         assert len(violations) == 1
         assert "broken" in violations[0]
         assert "weight" in violations[0]
+
+    @pytest.mark.parametrize("field", ["weight", "timeout_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_number_names_bench(self, field, value):
+        bad = SuiteConfig(
+            suite_name="s",
+            benchmarks=(
+                BenchmarkSpec(name="fine", run_cmd="w"),
+                BenchmarkSpec(name="broken", run_cmd="w", **{field: value}),
+            ),
+        )
+        violations = validate_suite(bad)
+        assert len(violations) == 1
+        assert "broken" in violations[0]
+        assert f"{field} must be finite" in violations[0]
 
     def test_obs_ordering_violation(self):
         bad = SuiteConfig(
