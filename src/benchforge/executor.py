@@ -27,6 +27,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .protocol import (
+    CHUNK_BYTES,
     MetricEvent,
     Observation,
     ObservationLog,
@@ -282,7 +283,7 @@ def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
                 # epoll refuses waits over ~24 days; a later deadline is re-checked daily.
                 ready = {key.fd for key, _ in sel.select(min(deadline - time.monotonic(), 86400))}
                 if read_fd in ready:
-                    chunk = os.read(read_fd, 65536)
+                    chunk = os.read(read_fd, CHUNK_BYTES)
                     if not chunk:
                         sel.unregister(read_fd)
                     capture.write(chunk)
@@ -518,7 +519,12 @@ class LoadedRun:
 
 
 def load_run(run_dir: Path | str) -> LoadedRun:
-    """Read a completed run directory back into foldable records."""
+    """Read a completed run directory back into foldable records.
+
+    Each ``<rank>.jsonl`` is read in ``CHUNK_BYTES`` chunks through one
+    ``StreamDecoder``. A stream that exists but cannot be read raises
+    ``OSError`` rather than yielding a shorter log.
+    """
     from .suite import parse_suite
 
     run_dir = Path(run_dir)
@@ -542,10 +548,12 @@ def load_run(run_dir: Path | str) -> LoadedRun:
         for row in payload["outcomes"]:
             rank = row["rank"]
             stream = bench_dir / f"{rank}.jsonl"
-            events = []
+            events: list[MetricEvent] = []
             if stream.exists():
                 decoder = StreamDecoder()
-                events = events_only(decoder.feed(stream.read_bytes()))
+                with open(stream, "rb") as f:
+                    while chunk := f.read(CHUNK_BYTES):
+                        events.extend(events_only(decoder.feed(chunk)))
                 events.extend(events_only(decoder.finish()))
             log = log_from_events(events, process_id=f"{bench.name}/{rank}")
             plan = ProcessPlan(

@@ -34,6 +34,9 @@ EVENT_KINDS = frozenset(
 # Event kinds that may appear at most once per emitting process.
 TERMINAL_KINDS = frozenset({"success", "error"})
 
+# Bytes per read when a stream is pulled from a file or a pipe.
+CHUNK_BYTES = 65536
+
 
 class ProtocolError(ValueError):
     """Raised when an event cannot be encoded."""
@@ -137,6 +140,10 @@ def _reject_constant(name: str) -> Any:
     raise ValueError(f"non-finite number {name} not allowed")
 
 
+# One decoder for every line; ``json.loads`` would build a new one per call.
+_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def decode_event(line: str) -> StreamItem:
     """Decode one line into a MetricEvent, or a Rejection explaining why not.
 
@@ -148,7 +155,10 @@ def decode_event(line: str) -> StreamItem:
     if not stripped:
         return Rejection(raw, "empty line")
     try:
-        obj = json.loads(stripped, parse_constant=_reject_constant)
+        if stripped.startswith("\ufeff"):
+            # json.loads refuses a BOM; JSONDecoder.decode has no such check.
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", stripped, 0)
+        obj = _JSON.decode(stripped)
     except ValueError as exc:
         return Rejection(raw, f"not valid JSON: {exc}")
     if not isinstance(obj, dict):
@@ -195,42 +205,41 @@ class StreamDecoder:
     """Incremental line framer over an arbitrary byte-chunk sequence.
 
     Output is invariant to chunk boundaries: a partial trailing line is
-    buffered until completed by a later chunk or by ``finish()``.
+    kept until completed by a later chunk or by ``finish()``. Framing is
+    linear in the bytes fed under any chunking: a chunk without a newline
+    is only set aside, and the pieces of a line are joined once, when the
+    chunk that ends it arrives.
     """
 
     def __init__(self) -> None:
-        self._buffer = b""
+        self._pending: list[bytes] = []
 
     def feed(self, chunk: bytes) -> list[StreamItem]:
-        self._buffer += chunk
-        items: list[StreamItem] = []
-        while True:
-            newline = self._buffer.find(b"\n")
-            if newline < 0:
-                break
-            line, self._buffer = self._buffer[: newline + 1], self._buffer[newline + 1 :]
-            items.append(decode_event(line.decode("utf-8", errors="replace")))
-        return items
+        self._pending.append(chunk)
+        if b"\n" not in chunk:
+            return []
+        lines = b"".join(self._pending).split(b"\n")
+        self._pending = [lines.pop()]
+        return [decode_event(line.decode("utf-8", errors="replace")) for line in lines]
 
     def finish(self) -> list[StreamItem]:
         """Flush a trailing unterminated line, if any."""
-        if not self._buffer:
-            return []
-        line, self._buffer = self._buffer, b""
-        return [decode_event(line.decode("utf-8", errors="replace"))]
+        line = b"".join(self._pending)
+        self._pending = []
+        return [decode_event(line.decode("utf-8", errors="replace"))] if line else []
 
 
 def read_stream(source: Iterable[bytes] | BinaryIO) -> Iterator[StreamItem]:
     """Yield events and rejections from a byte source, in arrival order.
 
     ``source`` may be any iterable of byte chunks or a binary file-like
-    object (read in 64 KiB chunks). A read failure terminates the stream
+    object (read in ``CHUNK_BYTES`` chunks). A read failure terminates the stream
     with a Rejection marker; items already yielded remain valid.
     """
     decoder = StreamDecoder()
     chunks: Iterable[bytes]
     if hasattr(source, "read"):
-        chunks = iter(lambda: source.read(65536), b"")  # type: ignore[union-attr]
+        chunks = iter(lambda: source.read(CHUNK_BYTES), b"")  # type: ignore[union-attr]
     else:
         chunks = source
     try:

@@ -91,6 +91,15 @@ class TestReportCLI:
         assert rc == 4
         assert "meta.json" in capsys.readouterr().err
 
+    def test_unreadable_stream_fails_report(self, suite_path, tmp_path, capsys):
+        run_dir = run_once(suite_path, tmp_path / "a", "boxA")
+        stream = run_dir / "fast" / "0.jsonl"
+        stream.unlink()
+        stream.mkdir()
+        rc = main(["report", "--runs", str(run_dir)])
+        assert rc == 4
+        assert "0.jsonl" in capsys.readouterr().err
+
     def test_text_report_to_stdout(self, suite_path, tmp_path, capsys):
         run_dir = run_once(suite_path, tmp_path / "a", "boxA")
         rc = main(["report", "--runs", str(run_dir)])

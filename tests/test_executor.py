@@ -369,3 +369,12 @@ class TestRun:
         want = [o.log.rates() for o in records[0].outcomes]
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-9)
+
+    def test_load_run_raises_on_unreadable_stream(self, tmp_path):
+        cfg = setup_suite(worker_bench(name="keep"))
+        run_dir, _ = run(cfg, POOL4, tmp_path, check_setup=False)
+        stream = run_dir / "keep" / "0.jsonl"
+        stream.unlink()
+        stream.mkdir()
+        with pytest.raises(OSError):
+            load_run(run_dir)

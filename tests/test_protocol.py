@@ -3,8 +3,11 @@
 import io
 import json
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchforge.protocol import (
     EVENT_KINDS,
@@ -227,3 +230,132 @@ class TestDecoderState:
         assert decoder.feed(raw[5:-1]) == []
         assert decoder.finish() == [event]
         assert decoder.finish() == []
+
+
+BOM_REASON = (
+    "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+)
+
+
+def reference_items(payload: bytes) -> list:
+    """Decode ``payload`` line by line, with no framer involved."""
+    lines = payload.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    return [decode_event(line.decode("utf-8", errors="replace")) for line in lines]
+
+
+_scalars = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8),
+    st.booleans(),
+)
+_events = st.builds(
+    MetricEvent,
+    event=st.sampled_from(sorted(EVENT_KINDS)),
+    time=st.floats(0, 1e6, allow_nan=False),
+    task=st.text(max_size=8),
+    data=st.dictionaries(st.text(max_size=6), _scalars, max_size=4),
+)
+_lines = st.one_of(
+    _events.map(lambda e: encode_event(e).encode()[:-1]),
+    st.binary(max_size=24).map(lambda b: b.replace(b"\n", b"")),
+    st.just(b""),
+    _events.map(lambda e: b"\xef\xbb\xbf" + encode_event(e).encode()[:-1]),
+    st.sampled_from([b"\xff", b"\xe2\x82", b"\xc3", "\u20ac".encode(), "\U0001f600".encode()]),
+    st.text(max_size=12).map(lambda t: t.replace("\n", "").encode()),
+)
+
+
+@st.composite
+def payloads(draw) -> bytes:
+    lines = draw(st.lists(st.tuples(_lines, st.booleans()), max_size=12))
+    payload = b"".join(line + (b"\r\n" if crlf else b"\n") for line, crlf in lines)
+    return payload + draw(_lines)
+
+
+def chop(payload: bytes, cuts: list[int]) -> list[bytes]:
+    edges = [0, *sorted(cuts), len(payload)]
+    return [payload[a:b] for a, b in zip(edges, edges[1:])]
+
+
+class TestFramingProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_items_identical_under_any_chunking(self, data):
+        payload = data.draw(payloads())
+        cuts = data.draw(st.lists(st.integers(0, len(payload)), max_size=20))
+        expected = reference_items(payload)
+        assert list(read_stream([payload])) == expected
+        assert list(read_stream(chop(payload, cuts))) == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(payloads())
+    def test_byte_at_a_time_matches_reference(self, payload):
+        one_byte_chunks = [payload[i : i + 1] for i in range(len(payload))]
+        assert list(read_stream(one_byte_chunks)) == reference_items(payload)
+
+    def test_split_multibyte_character_and_invalid_bytes(self):
+        event = MetricEvent("progress", 1.0, "t\u20ac\U0001f600", {"note": "d\u00e9j\u00e0"})
+        payload = (
+            encode_event(event).encode()
+            + b"bad \xe2\x82 tail\r\n"
+            + b"\xff\xfe\n"
+            + encode_event(event).encode()[:-1]
+        )
+        expected = reference_items(payload)
+        assert expected[0] == event and expected[-1] == event
+        assert isinstance(expected[1], Rejection) and "\ufffd" in expected[1].line
+        for cut in range(len(payload) + 1):
+            assert list(read_stream([payload[:cut], payload[cut:]])) == expected
+
+    def test_empty_chunks_add_nothing(self):
+        decoder = StreamDecoder()
+        assert decoder.feed(b"") == []
+        assert decoder.finish() == []
+
+
+class TestByteOrderMark:
+    def test_bom_line_keeps_json_loads_reason(self):
+        line = "\ufeff" + encode_event(MetricEvent("end", 1.0, "t", {}))
+        assert decode_event(line) == Rejection(line[:-1], BOM_REASON)
+
+    def test_bom_line_in_stream(self):
+        raw = b"\xef\xbb\xbf" + encode_event(MetricEvent("end", 1.0, "t", {})).encode()
+        (item,) = read_stream([raw])
+        assert isinstance(item, Rejection)
+        assert item.reason == BOM_REASON
+
+
+def _long_payload(lines: int) -> bytes:
+    rng = random.Random(5)
+    out = []
+    for i in range(lines):
+        data = {"rate": 10.0 + rng.random(), "units": "items", "batch": 32, "pad": "x" * 40}
+        out.append(encode_event(MetricEvent("rate", float(i), "train", data)))
+    return "".join(out).encode()
+
+
+class TestLinearFraming:
+    def test_one_call_costs_no_more_than_chunked(self):
+        payload = _long_payload(30_000)
+        assert len(payload) >= 4_000_000
+        started = time.perf_counter()
+        chunked = list(read_stream(payload[i : i + 65536] for i in range(0, len(payload), 65536)))
+        chunked_s = time.perf_counter() - started
+        started = time.perf_counter()
+        whole = list(read_stream([payload]))
+        whole_s = time.perf_counter() - started
+        assert len(whole) == 30_000
+        assert whole == chunked
+        assert whole_s <= 2 * chunked_s + 0.5
+
+    def test_long_line_in_small_chunks_is_linear(self):
+        piece = b"x" * 4096
+        started = time.perf_counter()
+        items = list(read_stream(piece for _ in range(16 * 1024 * 1024 // len(piece))))
+        elapsed = time.perf_counter() - started
+        assert len(items) == 1
+        assert isinstance(items[0], Rejection)
+        assert elapsed < 1.0
