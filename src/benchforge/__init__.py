@@ -1,91 +1,43 @@
 """benchforge: benchmark-suite orchestration, scoring, and design analysis."""
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-from .aggregate import (
-    BenchResult,
-    RatioRow,
-    SuiteScore,
-    fold_bench,
-    fold_outcomes,
-    fold_process,
-    ratio_to_baseline,
-    suite_score,
-)
-from .design import (
-    ClassMetrics,
-    CoverageReport,
-    MLCMatrix,
-    coverage_proportions,
-    mlcm_build,
-    mlcm_metrics,
-)
-from .executor import DevicePool, ProcessOutcome, ProcessPlan, RunRecord, plan_launches, supervise
-from .protocol import (
-    MetricEvent,
-    Observation,
-    ObservationLog,
-    Rejection,
-    StreamDecoder,
-    decode_event,
-    encode_event,
-    read_stream,
-)
-from .report import ReportDocument, render_csv, render_json, render_report, render_text
-from .suite import (
-    BenchmarkSpec,
-    CoverageTargets,
-    SuiteConfig,
-    TaxonomyTags,
-    parse_suite,
-    render_suite,
-    select_benchmarks,
-    validate_suite,
-)
+# Submodules load on first attribute access (PEP 562), so `-m benchforge.worker` loads only protocol.
+_EXPORTS = {
+    "aggregate": (
+        "BenchResult", "RatioRow", "SuiteScore", "fold_bench", "fold_outcomes",
+        "fold_process", "ratio_to_baseline", "suite_score",
+    ),
+    "design": (
+        "ClassMetrics", "CoverageReport", "MLCMatrix", "coverage_proportions",
+        "mlcm_build", "mlcm_metrics",
+    ),
+    "executor": ("DevicePool", "ProcessOutcome", "ProcessPlan", "RunRecord", "plan_launches", "supervise"),
+    "protocol": (
+        "MetricEvent", "Observation", "ObservationLog", "Rejection", "StreamDecoder",
+        "decode_event", "encode_event", "read_stream",
+    ),
+    "report": ("ReportDocument", "render_csv", "render_json", "render_report", "render_text"),
+    "suite": (
+        "BenchmarkSpec", "CoverageTargets", "SuiteConfig", "TaxonomyTags", "parse_suite",
+        "render_suite", "select_benchmarks", "validate_suite",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-# benchforge.worker is deliberately not imported here: it doubles as the
-# `python -m benchforge.worker` entry point and must stay import-clean.
+__all__ = sorted(_SOURCE)
 
-__all__ = [
-    "BenchResult",
-    "BenchmarkSpec",
-    "ClassMetrics",
-    "CoverageReport",
-    "CoverageTargets",
-    "DevicePool",
-    "MLCMatrix",
-    "MetricEvent",
-    "Observation",
-    "ObservationLog",
-    "ProcessOutcome",
-    "ProcessPlan",
-    "RatioRow",
-    "Rejection",
-    "ReportDocument",
-    "RunRecord",
-    "StreamDecoder",
-    "SuiteConfig",
-    "SuiteScore",
-    "TaxonomyTags",
-    "coverage_proportions",
-    "decode_event",
-    "encode_event",
-    "fold_bench",
-    "fold_outcomes",
-    "fold_process",
-    "mlcm_build",
-    "mlcm_metrics",
-    "parse_suite",
-    "plan_launches",
-    "ratio_to_baseline",
-    "read_stream",
-    "render_csv",
-    "render_json",
-    "render_report",
-    "render_suite",
-    "render_text",
-    "select_benchmarks",
-    "suite_score",
-    "supervise",
-    "validate_suite",
-]
+
+def __getattr__(name: str) -> object:
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SOURCE.keys())

@@ -37,6 +37,8 @@ class BenchResult:
     def __post_init__(self) -> None:
         if not 0.0 <= self.success_rate <= 1.0:
             raise AggregateError(f"{self.bench}: success_rate must be in [0,1]")
+        if not math.isfinite(self.perf):
+            raise AggregateError(f"{self.bench}: perf must be finite")
         if self.perf < 0:
             raise AggregateError(f"{self.bench}: perf must be >= 0")
 

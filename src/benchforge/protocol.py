@@ -12,6 +12,8 @@ Wire grammar: ``<json-object>\\n`` with required keys ``event``, ``time``,
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, BinaryIO, Iterable, Iterator, Union
 
@@ -140,6 +142,9 @@ def _reject_constant(name: str) -> Any:
     raise ValueError(f"non-finite number {name} not allowed")
 
 
+# Largest finite float: JSON 1e999 decodes to inf, and a longer integer cannot become a float.
+_FLOAT_MAX = sys.float_info.max
+
 # One decoder for every line; ``json.loads`` would build a new one per call.
 _JSON = json.JSONDecoder(parse_constant=_reject_constant)
 
@@ -174,6 +179,8 @@ def decode_event(line: str) -> StreamItem:
     time = obj["time"]
     if isinstance(time, bool) or not isinstance(time, (int, float)):
         return Rejection(raw, "time must be a number")
+    if not -_FLOAT_MAX <= time <= _FLOAT_MAX:
+        return Rejection(raw, "time must be finite")
     task = obj["task"]
     if not isinstance(task, str):
         return Rejection(raw, "task must be a string")
@@ -198,7 +205,12 @@ def _check_rate_payload(data: dict[str, Any]) -> str | None:
         return "rate payload requires numeric batch > 0"
     if not isinstance(data.get("units"), str):
         return "rate payload requires text units"
-    return None
+    t0, t1 = data.get("t0", 0.0), data.get("t1", 0.0)
+    try:
+        finite = math.isfinite(rate) and math.isfinite(batch) and math.isfinite(t0) and math.isfinite(t1)
+    except (TypeError, OverflowError):  # t0 or t1 is not a number, or an integer beyond float range
+        finite = False
+    return None if finite else "rate payload requires finite rate, batch, t0 and t1"
 
 
 class StreamDecoder:

@@ -134,6 +134,11 @@ class TestSuiteScore:
         assert suite_score(results).score == pytest.approx(6.0, rel=1e-12)
         assert "opt" not in suite_score(results).contributions
 
+    @pytest.mark.parametrize("perf", [math.inf, math.nan, -1.0])
+    def test_bench_result_rejects_bad_perf(self, perf):
+        with pytest.raises(AggregateError, match="perf must be"):
+            BenchResult("a", 1.0, perf, 1.0)
+
     def test_no_weighted_benchmarks_is_an_error(self):
         with pytest.raises(AggregateError, match="no weighted"):
             suite_score([BenchResult("a", 0.0, 5.0, 1.0)])

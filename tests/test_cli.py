@@ -1,6 +1,7 @@
 """CLI-level tests: exit codes, multi-run reports, design subcommand."""
 
 import json
+import sys
 
 import pytest
 
@@ -107,6 +108,32 @@ class TestReportCLI:
         text = capsys.readouterr().out
         assert "Global Score" in text
         assert "perf:boxA" in text
+
+    def test_infinite_batch_is_rejected_not_scored(self, tmp_path, capsys):
+        # 1e999 decodes to inf; it must neither reach the score nor crash the JSON report.
+        line = '{"event":"rate","time":1,"task":"train","data":{"batch":1e999,"rate":1,"t0":0,"t1":1,"units":"x"}}'
+        success = '{"event":"success","time":2,"task":"train","data":{}}'
+        script = tmp_path / "inf_worker.py"
+        script.write_text(
+            "import os\n"
+            "with os.fdopen(int(os.environ['BENCHFORGE_METRICS_FD']), 'w') as out:\n"
+            f"    out.write({line + chr(10)!r} * 8 + {success + chr(10)!r})\n"
+        )
+        suite = tmp_path / "s.yaml"
+        suite.write_text(
+            "suite: s\ndefaults: {obs_min: 5, obs_max: 10, timeout_s: 60}\nbenchmarks:\n"
+            f"  - name: huge\n    weight: 1\n    run_cmd: \"{sys.executable} {script}\"\n"
+        )
+        base = tmp_path / "w"
+        rc = main(["run", "--config", str(suite), "--base-dir", str(base), "--devices", "d0", "--no-setup-check"])
+        assert rc == 3
+        (run_dir,) = list((base / "runs").iterdir())
+        assert (run_dir / "huge" / "0.jsonl").read_text().count("1e999") == 8
+        capsys.readouterr()
+        assert main(["report", "--runs", str(run_dir), "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        (cell,) = row["results"].values()
+        assert (cell["perf"], cell["success_rate"]) == (None, 0.0)
 
 
 class TestSelectAndErrors:

@@ -23,6 +23,11 @@ from benchforge.protocol import (
 )
 
 
+# Beyond the float range: json decodes it to an int that float() cannot convert.
+HUGE_INT = "1" + "0" * 400
+NOT_FINITE = "rate payload requires finite rate, batch, t0 and t1"
+
+
 def make_random_event(rng: random.Random) -> MetricEvent:
     kind = rng.choice(sorted(EVENT_KINDS))
     time = round(rng.uniform(0, 1e6), 6)
@@ -113,6 +118,26 @@ class TestDecode:
     def test_invalid_rate_payload_rejected(self):
         item = decode_event('{"event":"rate","time":1.0,"task":"t","data":{"rate":-1,"units":"x","batch":2}}')
         assert isinstance(item, Rejection)
+
+    @pytest.mark.parametrize(
+        "time, data, reason",
+        [
+            ("1e999", "{}", "time must be finite"),
+            ("-1e999", "{}", "time must be finite"),
+            (HUGE_INT, "{}", "time must be finite"),
+            ("1", '{"batch":2,"rate":1e999,"units":"x"}', NOT_FINITE),
+            ("1", '{"batch":1e999,"rate":2,"t0":0,"t1":1,"units":"x"}', NOT_FINITE),
+            ("1", f'{{"batch":{HUGE_INT},"rate":2,"units":"x"}}', NOT_FINITE),
+            ("1", '{"batch":2,"rate":2,"t0":-1e999,"t1":1,"units":"x"}', NOT_FINITE),
+            ("1", '{"batch":2,"rate":2,"t0":0,"t1":1e999,"units":"x"}', NOT_FINITE),
+            ("1", '{"batch":2,"rate":2,"t0":0,"t1":"1","units":"x"}', NOT_FINITE),
+        ],
+        ids=["time-inf", "time-minus-inf", "time-huge-int", "rate-inf", "batch-inf", "batch-huge-int",
+             "t0-inf", "t1-inf", "t1-text"],
+    )
+    def test_out_of_range_numbers_rejected_with_reason(self, time, data, reason):
+        line = f'{{"event":"rate","time":{time},"task":"t","data":{data}}}'
+        assert decode_event(line) == Rejection(line, reason)
 
     def test_unknown_payload_keys_preserved(self):
         line = '{"event":"rate","time":1.0,"task":"t","data":{"rate":2.0,"units":"x","batch":2,"mystery":[1,2]}}'
