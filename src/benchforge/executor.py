@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import selectors
 import shlex
@@ -218,7 +219,8 @@ def log_from_events(events: list[MetricEvent], process_id: str) -> ObservationLo
                 elapsed = float(data["t1"]) - float(data["t0"])
             else:
                 elapsed = work / float(data["rate"])
-            if elapsed <= 0:
+            # Finite stamps can still give an infinite span, or a rate that is inf or 0.
+            if not (0 < elapsed < math.inf and 0 < work / elapsed < math.inf):
                 log.faults += 1
                 continue
             log.observations.append(

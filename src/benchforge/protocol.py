@@ -14,8 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Any, BinaryIO, Iterable, Iterator, Union
+from typing import Any, BinaryIO, Iterable, Iterator, NamedTuple, Union
 
 EVENT_KINDS = frozenset(
     {
@@ -44,22 +43,25 @@ class ProtocolError(ValueError):
     """Raised when an event cannot be encoded."""
 
 
-@dataclass(frozen=True)
-class MetricEvent:
-    """One line of the metric protocol."""
-
+class _MetricEventFields(NamedTuple):
     event: str
     time: float
     task: str
-    data: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.event not in EVENT_KINDS:
-            raise ProtocolError(f"unknown event kind {self.event!r}")
+    data: dict[str, Any]
 
 
-@dataclass(frozen=True)
-class Rejection:
+class MetricEvent(_MetricEventFields):
+    """One line of the metric protocol. ``data`` defaults to a fresh ``{}``."""
+
+    __slots__ = ()
+
+    def __new__(cls, event: str, time: float, task: str, data: dict[str, Any] | None = None):
+        if event not in EVENT_KINDS:
+            raise ProtocolError(f"unknown event kind {event!r}")
+        return super().__new__(cls, event, time, task, {} if data is None else data)
+
+
+class Rejection(NamedTuple):
     """A line the decoder could not accept; ingestion continues past it."""
 
     line: str
@@ -69,40 +71,53 @@ class Rejection:
 StreamItem = Union[MetricEvent, Rejection]
 
 
-@dataclass(frozen=True)
-class Observation:
+class _ObservationFields(NamedTuple):
+    work: float
+    elapsed: float
+    loss: float | None
+    warmup: bool
+    task: str
+
+
+class Observation(_ObservationFields):
     """One unit-of-work timing.
 
     ``rate`` is always derived as ``work / elapsed``; it is never stored
     independently of the stamps it came from.
     """
 
-    work: float
-    elapsed: float
-    loss: float | None = None
-    warmup: bool = False
-    task: str = "train"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.work <= 0:
-            raise ValueError(f"work must be positive, got {self.work}")
-        if self.elapsed <= 0:
-            raise ValueError(f"elapsed must be positive, got {self.elapsed}")
+    def __new__(
+        cls, work: float, elapsed: float, loss: float | None = None, warmup: bool = False, task: str = "train"
+    ):
+        if work <= 0:
+            raise ValueError(f"work must be positive, got {work}")
+        if elapsed <= 0:
+            raise ValueError(f"elapsed must be positive, got {elapsed}")
+        return super().__new__(cls, work, elapsed, loss, warmup, task)
 
     @property
     def rate(self) -> float:
         return self.work / self.elapsed
 
 
-@dataclass
 class ObservationLog:
     """Folded outcome of one worker process."""
 
-    process_id: str
-    observations: list[Observation] = field(default_factory=list)
-    terminal: str = "error"  # one of {success, error, timeout}
-    faults: int = 0  # timing tuples dropped at flush (end before start)
-    message: str = ""
+    def __init__(
+        self,
+        process_id: str,
+        observations: list[Observation] | None = None,
+        terminal: str = "error",  # one of {success, error, timeout}
+        faults: int = 0,  # timings dropped: end not after start, or a span or rate out of range
+        message: str = "",
+    ) -> None:
+        self.process_id = process_id
+        self.observations = [] if observations is None else observations
+        self.terminal = terminal
+        self.faults = faults
+        self.message = message
 
     def rates(self) -> list[float]:
         return [o.rate for o in self.observations]

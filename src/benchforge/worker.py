@@ -12,11 +12,12 @@ Also the ``benchforge-worker`` CLI, the process the executor supervises.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
 import time as _time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .protocol import MetricEvent, Observation, ObservationLog, encode_event
 
@@ -31,53 +32,78 @@ class WorkloadCrash(Exception):
     """Deliberate failure of a crashing workload."""
 
 
-@dataclass(frozen=True)
-class TimerConfig:
-    obs_min: int = 30
-    obs_max: int = 60
-    epochs_max: int = 10
-    defer_flush: bool = True
+class _TimerConfigFields(NamedTuple):
+    obs_min: int
+    obs_max: int
+    epochs_max: int
+    defer_flush: bool
 
-    def __post_init__(self) -> None:
-        if not 0 < self.obs_min <= self.obs_max:
-            raise ValueError(f"need 0 < obs_min <= obs_max, got {self.obs_min}, {self.obs_max}")
-        if self.epochs_max <= 0:
+
+class TimerConfig(_TimerConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, obs_min: int = 30, obs_max: int = 60, epochs_max: int = 10, defer_flush: bool = True):
+        if not 0 < obs_min <= obs_max:
+            raise ValueError(f"need 0 < obs_min <= obs_max, got {obs_min}, {obs_max}")
+        if epochs_max <= 0:
             raise ValueError("epochs_max must be positive")
+        return super().__new__(cls, obs_min, obs_max, epochs_max, defer_flush)
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class _WorkloadSpecFields(NamedTuple):
+    kind: str
+    batch_size: int
+    base_rate: float
+    jitter_frac: float
+    crash_after: int | None
+    workers: int
+    batches_per_epoch: int
+    units: str
+    sleep_per_batch: float
+
+
+class WorkloadSpec(_WorkloadSpecFields):
     """Shape of a synthetic workload.
 
     ``jitter_frac`` doubles as the per-batch slowdown slope for the
     degrading kind (batch k runs ``1 + k * jitter_frac`` times slower).
+    ``sleep_per_batch`` is a real wall-clock stall, for timeout tests.
     """
 
-    kind: str = "constant"
-    batch_size: int = 32
-    base_rate: float = 64.0
-    jitter_frac: float = 0.0
-    crash_after: int | None = None
-    workers: int = 1
-    batches_per_epoch: int = 25
-    units: str = "items"
-    sleep_per_batch: float = 0.0  # real wall-clock stall, for timeout tests
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in WORKLOAD_KINDS:
-            raise ValueError(f"unknown workload kind {self.kind!r}")
-        if self.batch_size <= 0:
+    def __new__(
+        cls,
+        kind: str = "constant",
+        batch_size: int = 32,
+        base_rate: float = 64.0,
+        jitter_frac: float = 0.0,
+        crash_after: int | None = None,
+        workers: int = 1,
+        batches_per_epoch: int = 25,
+        units: str = "items",
+        sleep_per_batch: float = 0.0,
+    ):
+        if kind not in WORKLOAD_KINDS:
+            raise ValueError(f"unknown workload kind {kind!r}")
+        if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if self.base_rate <= 0:
-            raise ValueError("base_rate must be positive")
-        if not 0.0 <= self.jitter_frac < 1.0:
+        if not 0 < base_rate < math.inf:
+            raise ValueError("base_rate must be positive and finite")
+        if not 0.0 <= jitter_frac < 1.0:
             raise ValueError("jitter_frac must be in [0, 1)")
-        if self.crash_after is not None and self.crash_after < 0:
+        if crash_after is not None and crash_after < 0:
             raise ValueError("crash_after must be >= 0")
-        if self.workers <= 0:
+        if workers <= 0:
             raise ValueError("workers must be positive")
-        if self.batches_per_epoch <= 0:
+        if batches_per_epoch <= 0:
             raise ValueError("batches_per_epoch must be positive")
+        if not 0.0 <= sleep_per_batch < math.inf:
+            raise ValueError("sleep_per_batch must be >= 0 and finite")
+        return super().__new__(
+            cls, kind, batch_size, base_rate, jitter_frac, crash_after, workers,
+            batches_per_epoch, units, sleep_per_batch,
+        )
 
 
 class VirtualClock:
@@ -163,7 +189,6 @@ def synthetic_workload(spec: WorkloadSpec, seed: int) -> SyntheticWorkload:
     return SyntheticWorkload(spec, seed)
 
 
-@dataclass
 class EpochBuffer:
     """Timing tuples recorded during an epoch, not yet resolved.
 
@@ -171,8 +196,11 @@ class EpochBuffer:
     observations (and metric lines) only by ``flush_epoch``.
     """
 
-    pending: list[tuple[float, float, float, float | None]] = field(default_factory=list)
-    faults: int = 0
+    def __init__(
+        self, pending: list[tuple[float, float, float, float | None]] | None = None, faults: int = 0
+    ) -> None:
+        self.pending = [] if pending is None else pending
+        self.faults = faults
 
     def record(self, start: float, end: float, work: float, loss: float | None) -> None:
         self.pending.append((start, end, work, loss))

@@ -136,6 +136,40 @@ class TestReportCLI:
         assert (cell["perf"], cell["success_rate"]) == (None, 0.0)
 
 
+    @pytest.mark.parametrize(
+        "stamps",
+        [
+            '"batch":1,"rate":1,"t0":-1e308,"t1":1e308',  # elapsed overflows: rate 0.0
+            '"batch":1e10,"rate":1,"t0":0,"t1":1e-320',  # rate overflows to inf
+        ],
+    )
+    def test_extreme_stamps_count_as_faults_not_scores(self, tmp_path, capsys, stamps):
+        # Finite stamps whose span or rate overflows must neither score nor fail the JSON report.
+        good = '{"event":"rate","time":1,"task":"train","data":{"batch":2,"rate":2,"t0":0,"t1":1,"units":"x"}}'
+        extreme = '{"event":"rate","time":1,"task":"train","data":{' + stamps + ',"units":"x"}}'
+        success = '{"event":"success","time":2,"task":"train","data":{}}'
+        lines = "".join(line + "\n" for line in (*[good] * 5, *[extreme] * 6, success))
+        script = tmp_path / "extreme_worker.py"
+        script.write_text(
+            "import os\n"
+            "with os.fdopen(int(os.environ['BENCHFORGE_METRICS_FD']), 'w') as out:\n"
+            f"    out.write({lines!r})\n"
+        )
+        suite = tmp_path / "s.yaml"
+        suite.write_text(
+            "suite: s\ndefaults: {obs_min: 5, obs_max: 20, timeout_s: 60}\nbenchmarks:\n"
+            f"  - name: extreme\n    weight: 1\n    run_cmd: \"{sys.executable} {script}\"\n"
+        )
+        base = tmp_path / "w"
+        rc = main(["run", "--config", str(suite), "--base-dir", str(base), "--devices", "d0", "--no-setup-check"])
+        assert rc == 0
+        (run_dir,) = list((base / "runs").iterdir())
+        capsys.readouterr()
+        assert main(["report", "--runs", str(run_dir), "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        (cell,) = row["results"].values()
+        assert (cell["perf"], cell["success_rate"]) == (2.0, 1.0)
+
 class TestSelectAndErrors:
     def test_zero_match_selector_is_config_error(self, suite_path, tmp_path, capsys):
         rc = main(

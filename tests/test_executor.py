@@ -12,11 +12,13 @@ from benchforge.executor import (
     ExecutorError,
     install,
     load_run,
+    log_from_events,
     plan_launches,
     prepare,
     run,
     supervise,
 )
+from benchforge.protocol import decode_event
 from benchforge.suite import BenchmarkSpec, SuiteConfig, parse_suite
 
 from conftest import WORKER_CMD
@@ -378,3 +380,29 @@ class TestRun:
         stream.mkdir()
         with pytest.raises(OSError):
             load_run(run_dir)
+
+
+class TestLogFromEvents:
+    def rate_line(self, batch, t0, t1, rate=1):
+        return (
+            '{"event":"rate","time":1,"task":"train","data":'
+            f'{{"batch":{batch},"rate":{rate},"t0":{t0},"t1":{t1},"units":"x"}}}}'
+        )
+
+    @pytest.mark.parametrize(
+        "batch, t0, t1",
+        [
+            (1, -1e308, 1e308),  # elapsed overflows to inf: the rate would score as 0.0
+            (1e10, 0, 1e-320),  # rate overflows to inf
+            (1e-300, 0, 1e300),  # rate underflows to 0.0
+        ],
+    )
+    def test_extreme_stamps_are_faults_not_observations(self, batch, t0, t1):
+        events = [decode_event(self.rate_line(2, 0, 1)), decode_event(self.rate_line(batch, t0, t1))]
+        log = log_from_events(events, "p")
+        assert (log.rates(), log.faults) == ([2.0], 1)
+
+    def test_extreme_rate_without_stamps_is_a_fault(self):
+        line = '{"event":"rate","time":1,"task":"train","data":{"batch":1e300,"rate":1e-300,"units":"x"}}'
+        log = log_from_events([decode_event(line)], "p")
+        assert (log.rates(), log.faults) == ([], 1)

@@ -11,6 +11,7 @@ from benchforge.worker import (
     TimerConfig,
     WorkloadSpec,
     flush_epoch,
+    main,
     synthetic_workload,
     timed_iterate,
 )
@@ -274,3 +275,26 @@ class TestValidation:
             TimerConfig(obs_min=10, obs_max=5)
         with pytest.raises(ValueError):
             TimerConfig(epochs_max=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("base_rate", float("nan")),
+            ("base_rate", float("inf")),
+            ("sleep_per_batch", float("nan")),
+            ("sleep_per_batch", float("inf")),
+            ("sleep_per_batch", -0.5),
+        ],
+    )
+    def test_non_finite_or_negative_numbers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            WorkloadSpec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "argv", [["--rate", "nan"], ["--rate", "inf"], ["--sleep-per-batch", "inf"], ["--sleep-per-batch", "-1"]]
+    )
+    def test_cli_refuses_bad_numbers_with_exit_code_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("benchforge-worker: ")
+        assert captured.out == ""
