@@ -26,16 +26,19 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 from .protocol import (
     CHUNK_BYTES,
+    TERMINAL_KINDS,
     MetricEvent,
     Observation,
     ObservationLog,
+    Rejection,
     StreamDecoder,
-    events_only,
+    StreamItem,
 )
-from .suite import BenchmarkSpec, SuiteConfig, render_suite
+from .suite import BenchmarkSpec, SuiteConfig, render_suite, text_sha256
 
 INSTALL_STAMP = ".installed"
 PREPARE_STAMP = ".prepared"
@@ -57,6 +60,7 @@ class DevicePool:
 
     devices: tuple[str, ...]
     nodes: int = 1
+    _node: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.devices:
@@ -67,19 +71,18 @@ class DevicePool:
             raise ExecutorError(
                 f"need 1 <= nodes <= {len(self.devices)}, got {self.nodes}"
             )
+        base, extra = divmod(len(self.devices), self.nodes)
+        owners = [node for node in range(self.nodes) for _ in range(base + (node < extra))]
+        object.__setattr__(self, "_node", dict(zip(self.devices, owners)))
 
     def node_of(self, device: str) -> int:
-        index = self.devices.index(device)
-        base, extra = divmod(len(self.devices), self.nodes)
-        for node in range(self.nodes):
-            size = base + (1 if node < extra else 0)
-            if index < size:
-                return node
-            index -= size
-        raise ExecutorError(f"device {device!r} not in pool")
+        try:
+            return self._node[device]
+        except KeyError:
+            raise ExecutorError(f"device {device!r} not in pool") from None
 
     def node_devices(self, node: int) -> tuple[str, ...]:
-        return tuple(d for d in self.devices if self.node_of(d) == node)
+        return tuple(d for d in self.devices if self._node[d] == node)
 
 
 @dataclass
@@ -207,46 +210,79 @@ def plan_launches(
     return plans
 
 
+# Rejection reasons a log keeps; later rejections are only counted.
+REASONS_KEPT = 3
+
+
+class LogFold:
+    """One process's ObservationLog, built while its stream is decoded.
+
+    ``feed`` frames and decodes a chunk and folds its items at once, so no
+    list of the stream's events is ever kept. The rules: a ``rate`` event
+    becomes an Observation, or a fault when its span or its rate is not
+    finite and positive; the first ``success`` or ``error`` sets the
+    terminal (``error`` when none comes), and an ``error`` its message; a
+    Rejection is counted, and the first REASONS_KEPT reasons are kept.
+    Every other kind is dropped.
+    """
+
+    def __init__(self, process_id: str) -> None:
+        self.log = ObservationLog(process_id=process_id)
+        self._terminal: str | None = None
+        self._decoder = StreamDecoder()
+
+    def feed(self, chunk: bytes) -> None:
+        self.add(self._decoder.feed(chunk))
+
+    def add(self, items: Iterable[StreamItem]) -> None:
+        log = self.log
+        observations = log.observations
+        for item in items:
+            if type(item) is Rejection:
+                log.rejected += 1
+                if len(log.rejection_reasons) < REASONS_KEPT:
+                    log.rejection_reasons.append(item.reason)
+                continue
+            kind = item.event
+            if kind == "rate":
+                data = item.data
+                work = float(data["batch"])
+                if "t0" in data and "t1" in data:
+                    elapsed = float(data["t1"]) - float(data["t0"])
+                else:
+                    elapsed = work / float(data["rate"])
+                # Finite stamps can still give an infinite span, or a rate that is inf or 0.
+                if not (0 < elapsed < math.inf and 0 < work / elapsed < math.inf):
+                    log.faults += 1
+                    continue
+                # Both fields are checked positive above, all Observation.__new__ would check.
+                warmup = bool(data.get("warmup", False))
+                observations.append(tuple.__new__(Observation, (work, elapsed, None, warmup, item.task)))
+            elif kind in TERMINAL_KINDS and self._terminal is None:
+                self._terminal = kind
+                if kind == "error":
+                    log.message = str(item.data.get("message", ""))
+
+    def finish(self) -> ObservationLog:
+        """Fold a trailing unterminated line, settle the terminal, return the log."""
+        self.add(self._decoder.finish())
+        self.log.terminal = self._terminal or "error"
+        return self.log
+
+
 def log_from_events(events: list[MetricEvent], process_id: str) -> ObservationLog:
     """Rebuild an observation log from a decoded event stream."""
-    log = ObservationLog(process_id=process_id)
-    terminal = None
-    for event in events:
-        if event.event == "rate":
-            data = event.data
-            work = float(data["batch"])
-            if "t0" in data and "t1" in data:
-                elapsed = float(data["t1"]) - float(data["t0"])
-            else:
-                elapsed = work / float(data["rate"])
-            # Finite stamps can still give an infinite span, or a rate that is inf or 0.
-            if not (0 < elapsed < math.inf and 0 < work / elapsed < math.inf):
-                log.faults += 1
-                continue
-            log.observations.append(
-                Observation(
-                    work=work,
-                    elapsed=elapsed,
-                    loss=None,
-                    warmup=bool(data.get("warmup", False)),
-                    task=event.task,
-                )
-            )
-        elif event.event == "success" and terminal is None:
-            terminal = "success"
-        elif event.event == "error" and terminal is None:
-            terminal = "error"
-            log.message = str(event.data.get("message", ""))
-    log.terminal = terminal if terminal is not None else "error"
-    return log
+    fold = LogFold(process_id)
+    fold.add(events)
+    return fold.finish()
 
 
 def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
     """Launch one planned child and follow it to an outcome.
 
     One select loop in the calling thread reads the metric pipe (captured
-    verbatim to ``out_dir/<rank>.jsonl`` while decoded) and watches a
-    pidfd of the child until it exits or timeout_s passes. Then it kills
+    verbatim to ``out_dir/<rank>.jsonl`` and folded as it arrives) and
+    watches a pidfd of the child until it exits or timeout_s passes. Then it kills
     the child's whole process group, reaps the child, and drains the pipe
     for at most DRAIN_S seconds. Classification: success iff the child
     exited 0, its log ended in success, and it gathered at least obs_min
@@ -274,8 +310,7 @@ def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
 
     pidfd = os.pidfd_open(proc.pid)
     deadline = started + plan.timeout_s
-    decoder = StreamDecoder()
-    events: list[MetricEvent] = []
+    fold = LogFold(f"{plan.bench}/{plan.rank}")
     exit_code = None
     try:
         with open(stream_path, "wb") as capture, selectors.DefaultSelector() as sel:
@@ -289,7 +324,7 @@ def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
                     if not chunk:
                         sel.unregister(read_fd)
                     capture.write(chunk)
-                    events.extend(events_only(decoder.feed(chunk)))
+                    fold.feed(chunk)
                 if exit_code is None and (pidfd in ready or time.monotonic() >= deadline):
                     timed_out = pidfd not in ready
                     # The unreaped child pins its pgid, so this kills only its group.
@@ -301,12 +336,11 @@ def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
                     duration = time.monotonic() - started
                     sel.unregister(pidfd)
                     deadline = time.monotonic() + DRAIN_S
-            events.extend(events_only(decoder.finish()))
     finally:
         os.close(read_fd)
         os.close(pidfd)
 
-    log = log_from_events(events, process_id=f"{plan.bench}/{plan.rank}")
+    log = fold.finish()
     if timed_out:
         log.terminal = "timeout"
         classified = "timeout"
@@ -431,10 +465,11 @@ def run(
                 raise ExecutorError(problem)
 
     run_dir = _new_run_dir(base_dir)
-    (run_dir / "suite.yaml").write_text(render_suite(cfg), encoding="utf-8")
+    rendered = render_suite(cfg)
+    (run_dir / "suite.yaml").write_text(rendered, encoding="utf-8")
     meta = {
         "suite_name": cfg.suite_name,
-        "suite_sha256": cfg.sha256(),
+        "suite_sha256": text_sha256(rendered),
         "system": system or os.uname().nodename,
         "created_unix": time.time(),
         "pool": {"devices": list(pool.devices), "nodes": pool.nodes},
@@ -492,6 +527,8 @@ def _write_outcomes(bench_out: Path, record: RunRecord) -> None:
             "classified": o.classified,
             "observations": len(o.log.observations),
             "message": o.log.message,
+            "rejected": o.log.rejected,
+            "rejection_reasons": o.log.rejection_reasons,
         }
         for o in record.outcomes
     ]
@@ -523,9 +560,9 @@ class LoadedRun:
 def load_run(run_dir: Path | str) -> LoadedRun:
     """Read a completed run directory back into foldable records.
 
-    Each ``<rank>.jsonl`` is read in ``CHUNK_BYTES`` chunks through one
-    ``StreamDecoder``. A stream that exists but cannot be read raises
-    ``OSError`` rather than yielding a shorter log.
+    Each ``<rank>.jsonl`` is read in ``CHUNK_BYTES`` chunks and folded by
+    one ``LogFold`` as it is decoded. A stream that exists but cannot be
+    read raises ``OSError`` rather than yielding a shorter log.
     """
     from .suite import parse_suite
 
@@ -550,14 +587,12 @@ def load_run(run_dir: Path | str) -> LoadedRun:
         for row in payload["outcomes"]:
             rank = row["rank"]
             stream = bench_dir / f"{rank}.jsonl"
-            events: list[MetricEvent] = []
+            fold = LogFold(f"{bench.name}/{rank}")
             if stream.exists():
-                decoder = StreamDecoder()
                 with open(stream, "rb") as f:
                     while chunk := f.read(CHUNK_BYTES):
-                        events.extend(events_only(decoder.feed(chunk)))
-                events.extend(events_only(decoder.finish()))
-            log = log_from_events(events, process_id=f"{bench.name}/{rank}")
+                        fold.feed(chunk)
+            log = fold.finish()
             plan = ProcessPlan(
                 bench=bench.name,
                 rank=rank,

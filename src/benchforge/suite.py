@@ -17,6 +17,12 @@ import yaml
 
 SCALE_MODES = ("single-device", "node-devices", "multi-node")
 
+# libyaml's loader is about ten times faster than the pure one; PyYAML built
+# without libyaml has only the pure one. Rendering keeps the pure dumper:
+# libyaml wraps long escaped strings and writes empty keys differently, and
+# any change to the rendered text would change ``SuiteConfig.sha256``.
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 DEFAULT_OBS_MIN = 30
 DEFAULT_OBS_MAX = 60
 DEFAULT_TIMEOUT_S = 300.0
@@ -112,7 +118,7 @@ class SuiteConfig:
         raise SuiteError(f"no benchmark named {name!r}")
 
     def sha256(self) -> str:
-        return hashlib.sha256(render_suite(self).encode("utf-8")).hexdigest()
+        return text_sha256(render_suite(self))
 
 
 def parse_suite(text: str) -> SuiteConfig:
@@ -127,7 +133,7 @@ def parse_suite(text: str) -> SuiteConfig:
             empty ``run_cmd``.
     """
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise SuiteError(f"suite document is not valid YAML: {exc}") from exc
     if raw is None:
@@ -300,6 +306,11 @@ def render_suite(cfg: SuiteConfig) -> str:
             for dim, columns in sorted(cfg.targets.dimensions.items())
         }
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
+
+
+def text_sha256(rendered: str) -> str:
+    """The suite hash of ``render_suite`` output, for callers that already rendered it."""
+    return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
 
 
 def _render_benchmark(bench: BenchmarkSpec) -> dict[str, Any]:

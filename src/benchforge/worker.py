@@ -416,6 +416,22 @@ def _iterate_multiworker(
     return merged
 
 
+def _check_virtual_time(spec: WorkloadSpec, cfg: TimerConfig) -> None:
+    """Refuse a run whose virtual clock could overflow.
+
+    The bound is the slowest batch (jitter and the degrading slope
+    included) times the most batches the run may start. Half the float
+    range leaves room for the rounding of the clock's running sum.
+    """
+    batches = spec.batches_per_epoch * cfg.epochs_max
+    slowdown = 1.0 + spec.jitter_frac * (batches - 1 if spec.kind == "degrading" else 1)
+    if not spec.batch_size / spec.base_rate * slowdown * batches < sys.float_info.max / 2:
+        raise ValueError(
+            f"base_rate {spec.base_rate} is too small: {batches} batches of {spec.batch_size} "
+            "would overflow the virtual clock"
+        )
+
+
 def _spec_payload(spec: WorkloadSpec, cfg: TimerConfig, seed: int) -> dict:
     return {
         "kind": spec.kind,
@@ -493,6 +509,7 @@ def main(argv: list[str] | None = None) -> int:
             epochs_max=args.epochs_max,
             defer_flush=not args.no_defer_flush,
         )
+        _check_virtual_time(spec, cfg)
     except ValueError as exc:
         print(f"benchforge-worker: {exc}", file=sys.stderr)
         return 2

@@ -1,15 +1,20 @@
 """Process planning, supervision, and four-phase execution tests."""
 
 import json
+import math
 import os
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchforge.executor import (
+    REASONS_KEPT,
     DevicePool,
     ExecutorError,
+    LogFold,
     install,
     load_run,
     log_from_events,
@@ -18,10 +23,20 @@ from benchforge.executor import (
     run,
     supervise,
 )
-from benchforge.protocol import decode_event
+from benchforge.protocol import (
+    MetricEvent,
+    Observation,
+    Rejection,
+    decode_event,
+    encode_event,
+    events_only,
+    read_stream,
+    rejections_only,
+)
 from benchforge.suite import BenchmarkSpec, SuiteConfig, parse_suite
 
 from conftest import WORKER_CMD
+from test_protocol import chop
 
 POOL4 = DevicePool(devices=("d0", "d1", "d2", "d3"))
 POOL8_2N = DevicePool(devices=tuple(f"d{i}" for i in range(8)), nodes=2)
@@ -51,6 +66,10 @@ class TestDevicePool:
         pool = DevicePool(devices=("a", "b", "c"), nodes=2)
         assert pool.node_devices(0) == ("a", "b")
         assert pool.node_devices(1) == ("c",)
+
+    def test_unknown_device_has_no_node(self):
+        with pytest.raises(ExecutorError, match="not in pool"):
+            POOL8_2N.node_of("d8")
 
 
 class TestPlanLaunches:
@@ -372,6 +391,26 @@ class TestRun:
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-9)
 
+    def test_rejected_lines_are_kept_in_outcomes(self, tmp_path):
+        # Four garbage lines precede a healthy worker's stream on the metric channel.
+        garbage = "printf 'garbage one\\n[1]\\n\\nagain\\n' > /dev/fd/$BENCHFORGE_METRICS_FD"
+        bench = BenchmarkSpec(
+            name="noisy",
+            run_cmd=f'sh -c "{garbage}; exec {WORKER_CMD} --obs-min 5 --obs-max 10 --seed 0"',
+            obs_min=5,
+        )
+        run_dir, _ = run(setup_suite(bench), DevicePool(devices=("d0",)), tmp_path, check_setup=False)
+        (row,) = json.loads((run_dir / "noisy" / "outcomes.json").read_text())["outcomes"]
+        assert row["classified"] == "success"
+        assert row["rejected"] == 4
+        assert row["rejection_reasons"] == [
+            "not valid JSON: Expecting value: line 1 column 1 (char 0)",
+            "not a JSON object",
+            "empty line",
+        ]
+        (outcome,) = load_run(run_dir).records["noisy"].outcomes
+        assert (outcome.log.rejected, outcome.log.rejection_reasons) == (4, row["rejection_reasons"])
+
     def test_load_run_raises_on_unreadable_stream(self, tmp_path):
         cfg = setup_suite(worker_bench(name="keep"))
         run_dir, _ = run(cfg, POOL4, tmp_path, check_setup=False)
@@ -406,3 +445,90 @@ class TestLogFromEvents:
         line = '{"event":"rate","time":1,"task":"train","data":{"batch":1e300,"rate":1e-300,"units":"x"}}'
         log = log_from_events([decode_event(line)], "p")
         assert (log.rates(), log.faults) == ([], 1)
+
+
+def _reference_log(events):
+    """The fold rules written out plainly, as the independent oracle for LogFold."""
+    observations, faults, terminal, message = [], 0, None, ""
+    for event in events:
+        data = event.data
+        if event.event == "rate":
+            work = float(data["batch"])
+            if "t0" in data and "t1" in data:
+                elapsed = float(data["t1"]) - float(data["t0"])
+            else:
+                elapsed = work / float(data["rate"])
+            if 0 < elapsed < math.inf and 0 < work / elapsed < math.inf:
+                warmup = bool(data.get("warmup", False))
+                observations.append(Observation(work, elapsed, None, warmup, event.task))
+            else:
+                faults += 1
+        elif event.event in ("success", "error") and terminal is None:
+            terminal = event.event
+            if terminal == "error":
+                message = str(data.get("message", ""))
+    return observations, faults, terminal or "error", message
+
+
+_positive = st.one_of(st.floats(1e-300, 1e300), st.integers(1, 10**6))
+_stamps = st.one_of(st.floats(-1e308, 1e308), st.integers(-(10**6), 10**6), st.sampled_from([0, 1e-320, 1e308]))
+
+
+@st.composite
+def _rate_lines(draw) -> bytes:
+    data = {"batch": draw(_positive), "rate": draw(_positive), "units": "x"}
+    if draw(st.booleans()):
+        data["t0"], data["t1"] = draw(_stamps), draw(_stamps)
+    if draw(st.booleans()):
+        data["warmup"] = draw(st.booleans())
+    return encode_event(MetricEvent("rate", 1.0, draw(st.sampled_from(["train", "worker-0"])), data)).encode()
+
+
+_fold_lines = st.one_of(
+    _rate_lines(),
+    st.sampled_from(["success", "error", "end", "progress"]).map(
+        lambda kind: encode_event(MetricEvent(kind, 2.0, "main", {"message": kind})).encode()
+    ),
+    st.just(b'{"event":"error","time":3,"task":"main","data":{}}\n'),
+    st.binary(max_size=24).map(lambda b: b.replace(b"\n", b"") + b"\n"),
+    st.sampled_from([b"\n", b"[1]\n", b"\xe2\x82\n", b'{"event":"rate"}\n']),
+)
+
+
+def _folded(chunks):
+    fold = LogFold("p")
+    for chunk in chunks:
+        fold.feed(chunk)
+    return fold.finish()
+
+
+class TestLogFold:
+    def check(self, chunks):
+        items = list(read_stream(chunks))
+        events, rejections = events_only(items), rejections_only(items)
+        log = _folded(chunks)
+        for got in (log, log_from_events(events, "p")):
+            assert (got.observations, got.faults, got.terminal, got.message) == _reference_log(events)
+        assert log.rejected == len(rejections)
+        assert log.rejection_reasons == [r.reason for r in rejections[:REASONS_KEPT]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_pass_equals_the_listed_fold_under_any_chunking(self, data):
+        payload = b"".join(data.draw(st.lists(_fold_lines, max_size=16))) + data.draw(st.binary(max_size=8))
+        self.check([payload])
+        self.check(chop(payload, data.draw(st.lists(st.integers(0, len(payload)), max_size=20))))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(_fold_lines, max_size=8))
+    def test_one_pass_byte_at_a_time(self, lines):
+        payload = b"".join(lines)
+        self.check([payload[i : i + 1] for i in range(len(payload))])
+
+    def test_flood_of_rejections_keeps_a_bounded_sample(self):
+        fold = LogFold("p")
+        for i in range(1000):
+            fold.add([Rejection("x", f"reason {i}")] * 50)
+        log = fold.finish()
+        assert log.rejected == 50_000
+        assert log.rejection_reasons == ["reason 0"] * REASONS_KEPT

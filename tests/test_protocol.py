@@ -341,6 +341,33 @@ class TestFramingProperties:
         assert decoder.finish() == []
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-finite number {name} not allowed")
+
+
+_json_ish = st.one_of(
+    st.text(alphabet=' \t\r\x0b{}[]":,0123456789.-eEtrufalsNaIiy\ufeffx', max_size=30),
+    st.tuples(_events.map(lambda e: encode_event(e)[:-1]), st.text(" \t{}x1", max_size=4)).map("".join),
+)
+
+
+class TestJsonReasons:
+    @settings(max_examples=400, deadline=None)
+    @given(_json_ish)
+    def test_invalid_json_keeps_the_json_loads_reason(self, text):
+        item = decode_event(text)
+        stripped = text.strip()
+        if not stripped:
+            assert item == Rejection(text, "empty line")
+            return
+        try:
+            json.loads(stripped, parse_constant=_refuse_constant)
+        except ValueError as exc:
+            assert item == Rejection(text, f"not valid JSON: {exc}")
+        else:
+            assert not (isinstance(item, Rejection) and item.reason.startswith("not valid JSON"))
+
+
 class TestByteOrderMark:
     def test_bom_line_keeps_json_loads_reason(self):
         line = "\ufeff" + encode_event(MetricEvent("end", 1.0, "t", {}))

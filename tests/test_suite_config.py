@@ -3,7 +3,9 @@
 import random
 
 import pytest
+import yaml
 
+from benchforge import suite as suite_module
 from benchforge.suite import (
     BenchmarkSpec,
     SuiteConfig,
@@ -246,6 +248,43 @@ class TestRoundTrip:
 
     def test_sha256_stable_across_renders(self, reference_suite):
         assert reference_suite.sha256() == parse_suite(render_suite(reference_suite)).sha256()
+
+    def test_reference_suite_hash_is_pinned(self, reference_suite):
+        # Stored runs are matched by this hash; a rendering change would orphan them.
+        assert reference_suite.sha256() == "309fa8ef850feb85160581e4f55f33282e7aa7632f92d7a6e67873455a3723e1"
+
+
+def _e2e_suite_text() -> str:
+    from test_acceptance import E2E_SUITE
+
+    return E2E_SUITE
+
+
+class TestYamlLoaders:
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("source", ["reference", "e2e"])
+    def test_libyaml_and_pure_loaders_agree(self, source, reference_suite_text, monkeypatch):
+        text = reference_suite_text if source == "reference" else _e2e_suite_text()
+        monkeypatch.setattr(suite_module, "_Loader", yaml.CSafeLoader)
+        fast = parse_suite(text)
+        monkeypatch.setattr(suite_module, "_Loader", yaml.SafeLoader)
+        pure = parse_suite(text)
+        assert fast == pure
+        assert fast.sha256() == pure.sha256()
+
+    def test_syntax_error_reports_position_with_either_loader(self, monkeypatch):
+        for loader in {suite_module._Loader, yaml.SafeLoader}:
+            monkeypatch.setattr(suite_module, "_Loader", loader)
+            with pytest.raises(SuiteError, match="line 2"):
+                parse_suite("suite: [unclosed\nbenchmarks:\n")
+
+    def test_render_keeps_the_pure_dumper_text(self):
+        # The pure dumper wraps this escaped run_cmd over four lines; libyaml
+        # would write it on one, and so change the hash.
+        bench = BenchmarkSpec(name="wide", run_cmd="worker --label " + "\u00e9" * 60)
+        cfg = SuiteConfig(suite_name="s", benchmarks=(bench,))
+        assert cfg.sha256() == "19519a84621d9d8a1826f28d0c2927a70604403758a450c1bd80d5a64a8ef9d9"
+        assert parse_suite(render_suite(cfg)) == cfg
 
 
 class TestSpecExample:

@@ -298,3 +298,24 @@ class TestValidation:
         captured = capsys.readouterr()
         assert captured.err.startswith("benchforge-worker: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--rate", "1e-320"],  # the first batch alone lasts inf virtual seconds
+            ["--rate", "1e-306"],  # the clock overflows after a few batches
+            # Only the degrading slowdown makes this run's clock overflow.
+            ["--kind", "degrading", "--jitter", "0.9", "--rate", "3.2e-304", "--obs-max", "250"],
+        ],
+    )
+    def test_cli_refuses_rates_that_overflow_the_virtual_clock(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("benchforge-worker: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_smallest_rate_that_fits_still_runs(self, capsys):
+        # 250 batches of 32 items last 8e306 virtual seconds: large, but finite.
+        assert main(["--rate", "1e-303"]) == 0
+        assert capsys.readouterr().err == ""
