@@ -8,7 +8,9 @@ untouched. One select loop per child (``supervise``) reads the pipe, watches
 the exit and the timeout, and then kills the child's whole process group.
 
 Run layout: ``<base>/runs/<stamp>/<bench>/<rank>.jsonl`` plus
-``meta.json``, ``suite.yaml`` and per-benchmark ``outcomes.json``.
+``meta.json``, ``suite.yaml``, per-benchmark ``outcomes.json`` and, next
+to each stream, the ``<rank>.fold`` sidecar that lets ``load_run`` skip
+decoding it again.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import os
 import selectors
 import shlex
 import signal
+import struct
 import subprocess
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -277,6 +281,87 @@ def log_from_events(events: list[MetricEvent], process_id: str) -> ObservationLo
     return fold.finish()
 
 
+# Version of the fold sidecar: bump it whenever the fold rules or the layout change.
+FOLD_FORMAT = 1
+# Bytes per observation in a sidecar: work and elapsed (f64), warmup (u8), task index (u32).
+_FOLD_RECORD = struct.calcsize("=ddBI")
+
+
+def fold_sidecar(log: ObservationLog, sha256: str, size: int) -> bytes:
+    """Serialize ``log``, the fold of a stream of ``size`` bytes with digest ``sha256``.
+
+    One ASCII JSON header line (format, byte order, the stream's digest and
+    length, the observation count, the task table and the log's other
+    fields), then four arrays in native byte order with one item per
+    observation: work, elapsed, warmup and task index.
+    """
+    observations = log.observations
+    n = len(observations)
+    tasks: dict[str, int] = {}
+    index = [tasks.setdefault(o.task, len(tasks)) for o in observations]
+    header = {
+        "format": FOLD_FORMAT,
+        "byteorder": sys.byteorder,
+        "sha256": sha256,
+        "bytes": size,
+        "observations": n,
+        "tasks": list(tasks),
+        "terminal": log.terminal,
+        "message": log.message,
+        "faults": log.faults,
+        "rejected": log.rejected,
+        "rejection_reasons": log.rejection_reasons,
+    }
+    return b"".join(
+        (
+            json.dumps(header).encode("ascii") + b"\n",
+            struct.pack(f"={n}d", *[o.work for o in observations]),
+            struct.pack(f"={n}d", *[o.elapsed for o in observations]),
+            bytes([o.warmup for o in observations]),
+            struct.pack(f"={n}I", *index),
+        )
+    )
+
+
+def log_from_sidecar(data: bytes, sha256: str, size: int, process_id: str) -> ObservationLog | None:
+    """The log ``fold_sidecar`` stored, or None unless it is the fold of this stream.
+
+    It is returned only when the format, the byte order, the stream length
+    and the stream digest all match and the arrays are complete.
+    """
+    head, _, body = data.partition(b"\n")
+    try:
+        header = json.loads(head)
+        stamp = (header["format"], header["byteorder"], header["bytes"], header["sha256"])
+        if stamp != (FOLD_FORMAT, sys.byteorder, size, sha256):
+            return None
+        n, tasks = header["observations"], header["tasks"]
+        if type(n) is not int or len(body) != n * _FOLD_RECORD:
+            return None
+        work, elapsed = struct.unpack_from(f"={n}d", body), struct.unpack_from(f"={n}d", body, 8 * n)
+        warmup, index = body[16 * n : 17 * n], struct.unpack_from(f"={n}I", body, 17 * n)
+        # Every stored observation passed the fold's checks, all Observation.__new__ would check.
+        new = tuple.__new__
+        observations = [
+            new(Observation, (w, e, None, u == 1, tasks[t])) for w, e, u, t in zip(work, elapsed, warmup, index)
+        ]
+        log = ObservationLog(process_id, observations, header["terminal"], header["faults"], header["message"])
+        log.rejected, log.rejection_reasons = header["rejected"], header["rejection_reasons"]
+    except (ValueError, TypeError, KeyError, IndexError, struct.error):  # cut short, or not a sidecar
+        return None
+    return log
+
+
+def _kill_group(proc: subprocess.Popen) -> int:
+    """SIGKILL the child's whole process group, then reap the child."""
+    # The unreaped child pins its pgid, so this kills only its group.
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except OSError:
+        proc.kill()
+    return proc.wait()
+
+
 def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
     """Launch one planned child and follow it to an outcome.
 
@@ -284,9 +369,11 @@ def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
     verbatim to ``out_dir/<rank>.jsonl`` and folded as it arrives) and
     watches a pidfd of the child until it exits or timeout_s passes. Then it kills
     the child's whole process group, reaps the child, and drains the pipe
-    for at most DRAIN_S seconds. Classification: success iff the child
-    exited 0, its log ended in success, and it gathered at least obs_min
-    observations; a child still running at timeout_s is a timeout.
+    for at most DRAIN_S seconds; an exception kills and reaps it too. The
+    fold, as the stream gave it, goes to ``out_dir/<rank>.fold``.
+    Classification: success iff the child exited 0, its log ended in
+    success, and it gathered at least obs_min observations; a child still
+    running at timeout_s is a timeout.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -311,6 +398,7 @@ def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
     pidfd = os.pidfd_open(proc.pid)
     deadline = started + plan.timeout_s
     fold = LogFold(f"{plan.bench}/{plan.rank}")
+    digest = hashlib.sha256()
     exit_code = None
     try:
         with open(stream_path, "wb") as capture, selectors.DefaultSelector() as sel:
@@ -324,23 +412,24 @@ def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
                     if not chunk:
                         sel.unregister(read_fd)
                     capture.write(chunk)
+                    digest.update(chunk)
                     fold.feed(chunk)
                 if exit_code is None and (pidfd in ready or time.monotonic() >= deadline):
                     timed_out = pidfd not in ready
-                    # The unreaped child pins its pgid, so this kills only its group.
-                    try:
-                        os.killpg(proc.pid, signal.SIGKILL)
-                    except OSError:
-                        proc.kill()
-                    exit_code = proc.wait()
+                    exit_code = _kill_group(proc)
                     duration = time.monotonic() - started
                     sel.unregister(pidfd)
                     deadline = time.monotonic() + DRAIN_S
+            size = capture.tell()
     finally:
+        if exit_code is None:
+            _kill_group(proc)
         os.close(read_fd)
         os.close(pidfd)
 
     log = fold.finish()
+    # Written before the verdict below edits the terminal or the message.
+    stream_path.with_suffix(".fold").write_bytes(fold_sidecar(log, digest.hexdigest(), size))
     if timed_out:
         log.terminal = "timeout"
         classified = "timeout"
@@ -529,6 +618,7 @@ def _write_outcomes(bench_out: Path, record: RunRecord) -> None:
             "message": o.log.message,
             "rejected": o.log.rejected,
             "rejection_reasons": o.log.rejection_reasons,
+            "faults": o.log.faults,
         }
         for o in record.outcomes
     ]
@@ -560,9 +650,11 @@ class LoadedRun:
 def load_run(run_dir: Path | str) -> LoadedRun:
     """Read a completed run directory back into foldable records.
 
-    Each ``<rank>.jsonl`` is read in ``CHUNK_BYTES`` chunks and folded by
-    one ``LogFold`` as it is decoded. A stream that exists but cannot be
-    read raises ``OSError`` rather than yielding a shorter log.
+    Each process's log comes from its ``<rank>.fold`` sidecar when that
+    holds the fold of the stream as it now is, and otherwise from
+    ``<rank>.jsonl``, read in ``CHUNK_BYTES`` chunks and folded by one
+    ``LogFold`` as it is decoded. A stream that exists but cannot be read
+    raises ``OSError`` rather than yielding a shorter log.
     """
     from .suite import parse_suite
 
@@ -586,13 +678,7 @@ def load_run(run_dir: Path | str) -> LoadedRun:
         record.error = payload.get("error")
         for row in payload["outcomes"]:
             rank = row["rank"]
-            stream = bench_dir / f"{rank}.jsonl"
-            fold = LogFold(f"{bench.name}/{rank}")
-            if stream.exists():
-                with open(stream, "rb") as f:
-                    while chunk := f.read(CHUNK_BYTES):
-                        fold.feed(chunk)
-            log = fold.finish()
+            log = _load_log(bench_dir / f"{rank}.jsonl", f"{bench.name}/{rank}")
             plan = ProcessPlan(
                 bench=bench.name,
                 rank=rank,
@@ -615,3 +701,26 @@ def load_run(run_dir: Path | str) -> LoadedRun:
             )
         records[bench.name] = record
     return LoadedRun(run_dir=run_dir, meta=meta, suite=suite, records=records)
+
+
+def _load_log(stream: Path, process_id: str) -> ObservationLog:
+    """One process's log: its trusted sidecar, else the fold of its stream."""
+    fold = LogFold(process_id)
+    if stream.exists():
+        with open(stream, "rb") as f:
+            try:
+                sidecar = stream.with_suffix(".fold").read_bytes()
+            except OSError:  # none, or unreadable: the stream alone is the record
+                sidecar = None
+            if sidecar is not None:
+                digest, size = hashlib.sha256(), 0
+                while chunk := f.read(CHUNK_BYTES):
+                    digest.update(chunk)
+                    size += len(chunk)
+                log = log_from_sidecar(sidecar, digest.hexdigest(), size, process_id)
+                if log is not None:
+                    return log
+                f.seek(0)
+            while chunk := f.read(CHUNK_BYTES):
+                fold.feed(chunk)
+    return fold.finish()

@@ -167,6 +167,9 @@ _FLOAT_MAX = sys.float_info.max
 _SCAN = json.JSONDecoder(parse_constant=_reject_constant).scan_once
 _WHITESPACE = json.decoder.WHITESPACE.match
 
+# Longest quoted kind an "unknown kind" reason repeats; the kind can be as long as its line.
+_KIND_QUOTED_MAX = 64
+
 
 def decode_event(line: str) -> StreamItem:
     """Decode one line into a MetricEvent, or a Rejection explaining why not.
@@ -191,6 +194,8 @@ def decode_event(line: str) -> StreamItem:
             raise json.JSONDecodeError("Extra data", stripped, _WHITESPACE(stripped, end).end())
     except ValueError as exc:
         return Rejection(raw, f"not valid JSON: {exc}")
+    except RecursionError:  # the scanner recurses once per nested array or object
+        return Rejection(raw, "nesting too deep")
     if not isinstance(obj, dict):
         return Rejection(raw, "not a JSON object")
     try:
@@ -200,7 +205,10 @@ def decode_event(line: str) -> StreamItem:
         return Rejection(raw, f"missing keys: {', '.join(missing)}")
 
     if not isinstance(kind, str) or kind not in EVENT_KINDS:
-        return Rejection(raw, f"unknown kind {kind!r}")
+        quoted = repr(kind)
+        if len(quoted) > _KIND_QUOTED_MAX:
+            quoted = quoted[:_KIND_QUOTED_MAX] + "..."
+        return Rejection(raw, f"unknown kind {quoted}")
     if isinstance(time, bool) or not isinstance(time, (int, float)):
         return Rejection(raw, "time must be a number")
     if not -_FLOAT_MAX <= time <= _FLOAT_MAX:

@@ -1,6 +1,7 @@
 """CLI-level tests: exit codes, multi-run reports, design subcommand."""
 
 import json
+import os
 import sys
 
 import pytest
@@ -169,6 +170,35 @@ class TestReportCLI:
         (row,) = json.loads(capsys.readouterr().out)["rows"]
         (cell,) = row["results"].values()
         assert (cell["perf"], cell["success_rate"]) == (2.0, 1.0)
+
+    def test_deeply_nested_line_is_a_rejection_not_a_crash(self, tmp_path, capsys):
+        # The JSON scanner recurses once per "["; the child then stalls until its timeout.
+        pid_file = tmp_path / "pid"
+        script = tmp_path / "deep_worker.py"
+        script.write_text(
+            "import os, time\n"
+            f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+            "with os.fdopen(int(os.environ['BENCHFORGE_METRICS_FD']), 'w') as out:\n"
+            "    out.write('[' * 100000 + '\\n')\n"
+            "    out.flush()\n"
+            "    time.sleep(30)\n"
+        )
+        suite = tmp_path / "s.yaml"
+        suite.write_text(
+            "suite: s\ndefaults: {obs_min: 5, obs_max: 10, timeout_s: 1}\nbenchmarks:\n"
+            f"  - name: deep\n    weight: 1\n    run_cmd: \"{sys.executable} {script}\"\n"
+        )
+        base = tmp_path / "w"
+        rc = main(["run", "--config", str(suite), "--base-dir", str(base), "--devices", "d0", "--no-setup-check"])
+        assert rc == 3
+        (run_dir,) = list((base / "runs").iterdir())
+        (row,) = json.loads((run_dir / "deep" / "outcomes.json").read_text())["outcomes"]
+        assert (row["classified"], row["rejected"], row["rejection_reasons"]) == ("timeout", 1, ["nesting too deep"])
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text()), 0)
+        capsys.readouterr()
+        assert main(["report", "--runs", str(run_dir), "--format", "json"]) == 0
+
 
 class TestSelectAndErrors:
     def test_zero_match_selector_is_config_error(self, suite_path, tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Process planning, supervision, and four-phase execution tests."""
 
+import hashlib
 import json
 import math
 import os
+import sys
 import threading
 import time
 
@@ -11,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchforge.executor import (
+    FOLD_FORMAT,
     REASONS_KEPT,
     DevicePool,
     ExecutorError,
     LogFold,
+    fold_sidecar,
     install,
     load_run,
     log_from_events,
+    log_from_sidecar,
     plan_launches,
     prepare,
     run,
@@ -35,11 +40,12 @@ from benchforge.protocol import (
 )
 from benchforge.suite import BenchmarkSpec, SuiteConfig, parse_suite
 
-from conftest import WORKER_CMD
+from conftest import DATA_DIR, WORKER_CMD
 from test_protocol import chop
 
 POOL4 = DevicePool(devices=("d0", "d1", "d2", "d3"))
 POOL8_2N = DevicePool(devices=tuple(f"d{i}" for i in range(8)), nodes=2)
+POOL1 = DevicePool(devices=("d0",))
 
 
 def worker_bench(name="w", scale="single-device", obs_min=5, obs_max=10, extra="", **kw):
@@ -229,6 +235,24 @@ class TestSupervise:
         plan = plan_launches(worker_bench(), DevicePool(devices=("d0",)), tmp_path)[0]
         assert supervise(plan, tmp_path / "out").classified == "success"
 
+    def test_exception_kills_and_reaps_the_child(self, tmp_path, monkeypatch):
+        def broken(self, chunk):
+            raise RuntimeError("fold failed")
+
+        monkeypatch.setattr(LogFold, "feed", broken)
+        pid_file = tmp_path / "pid"
+        bench = BenchmarkSpec(
+            name="left",
+            run_cmd=f'sh -c "echo $$ > {pid_file}; echo hello > /dev/fd/$BENCHFORGE_METRICS_FD; exec sleep 30"',
+            timeout_s=20,
+        )
+        plan = plan_launches(bench, DevicePool(devices=("d0",)), tmp_path)[0]
+        with pytest.raises(RuntimeError, match="fold failed"):
+            supervise(plan, tmp_path / "out")
+        # The child was the supervisor's own, so it is reaped, not left a zombie.
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text()), 0)
+
     def test_closed_metric_fd_does_not_disarm_timeout(self, tmp_path):
         probe = tmp_path / "probe.py"
         probe.write_text(
@@ -411,6 +435,24 @@ class TestRun:
         (outcome,) = load_run(run_dir).records["noisy"].outcomes
         assert (outcome.log.rejected, outcome.log.rejection_reasons) == (4, row["rejection_reasons"])
 
+    def test_faults_are_kept_in_outcomes(self, tmp_path):
+        # One rate line whose span overflows precedes a healthy worker's stream.
+        fault = tmp_path / "fault.jsonl"
+        fault.write_text(
+            '{"event":"rate","time":1,"task":"train","data":{"batch":1,"rate":1,"t0":-1e308,"t1":1e308,"units":"x"}}\n'
+        )
+        bench = BenchmarkSpec(
+            name="faulty",
+            run_cmd=f'sh -c "cat {fault} > /dev/fd/$BENCHFORGE_METRICS_FD; '
+            f'exec {WORKER_CMD} --obs-min 5 --obs-max 10 --seed 0"',
+            obs_min=5,
+        )
+        run_dir, _ = run(setup_suite(bench), DevicePool(devices=("d0",)), tmp_path, check_setup=False)
+        (row,) = json.loads((run_dir / "faulty" / "outcomes.json").read_text())["outcomes"]
+        assert (row["classified"], row["faults"], row["rejected"]) == ("success", 1, 0)
+        (outcome,) = load_run(run_dir).records["faulty"].outcomes
+        assert outcome.log.faults == 1
+
     def test_load_run_raises_on_unreadable_stream(self, tmp_path):
         cfg = setup_suite(worker_bench(name="keep"))
         run_dir, _ = run(cfg, POOL4, tmp_path, check_setup=False)
@@ -532,3 +574,198 @@ class TestLogFold:
         log = fold.finish()
         assert log.rejected == 50_000
         assert log.rejection_reasons == ["reason 0"] * REASONS_KEPT
+
+
+def _fields(log):
+    """Every field of a log; the observations by repr, so 1 and True differ."""
+    return (
+        log.process_id,
+        repr(log.observations),
+        log.faults,
+        log.terminal,
+        log.message,
+        log.rejected,
+        log.rejection_reasons,
+    )
+
+
+def _sidecar_of(payload):
+    digest = hashlib.sha256(payload).hexdigest()
+    return fold_sidecar(_folded([payload]), digest, len(payload)), digest
+
+
+# Text with newlines, non-ASCII characters and lone surrogates; JSON escapes the surrogates.
+_odd_text = st.lists(
+    st.one_of(st.characters(), st.sampled_from(["\n", "\r\n", "\ud800", "\udfff", "\u00e9", "\u2028", "\x00"])),
+    max_size=6,
+).map("".join)
+
+
+@st.composite
+def _odd_lines(draw) -> bytes:
+    text = draw(_odd_text)
+    kind = draw(st.sampled_from(["rate", "error", "success", text]))
+    data = {"message": text}
+    if kind == "rate":
+        data = {"batch": draw(_positive), "rate": draw(_positive), "units": "x", "warmup": draw(st.booleans())}
+    return json.dumps({"event": kind, "time": 1, "task": draw(_odd_text), "data": data}).encode() + b"\n"
+
+
+# Length and sha256 of the sidecar of tests/data/protocol_corpus.jsonl.
+CORPUS_SIDECAR_BYTES = 408
+CORPUS_SIDECAR_SHA256 = "5b711473fb55ce63ace29e6a129a056f8c892e3f829c3ab8abefc55823ddcacb"
+
+
+class TestFoldSidecar:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_round_trip_equals_the_fold_under_any_chunking(self, data):
+        lines = st.one_of(_fold_lines, _odd_lines())
+        payload = b"".join(data.draw(st.lists(lines, max_size=16))) + data.draw(st.binary(max_size=8))
+        log = _folded(chop(payload, data.draw(st.lists(st.integers(0, len(payload)), max_size=20))))
+        digest = hashlib.sha256(payload).hexdigest()
+        back = log_from_sidecar(fold_sidecar(log, digest, len(payload)), digest, len(payload), "p")
+        assert back is not None
+        assert _fields(back) == _fields(log)
+
+    @pytest.mark.skipif(sys.byteorder != "little", reason="the pinned arrays are little-endian")
+    def test_corpus_sidecar_is_pinned(self):
+        sidecar, _ = _sidecar_of((DATA_DIR / "protocol_corpus.jsonl").read_bytes())
+        assert (len(sidecar), hashlib.sha256(sidecar).hexdigest()) == (
+            CORPUS_SIDECAR_BYTES,
+            CORPUS_SIDECAR_SHA256,
+        ), "fold rules or layout changed: bump FOLD_FORMAT"
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda sidecar: sidecar[:-1],
+            lambda sidecar: sidecar[: sidecar.index(b"\n") // 2],
+            lambda sidecar: sidecar.replace(b'"format": %d' % FOLD_FORMAT, b'"format": %d' % (FOLD_FORMAT + 1)),
+            lambda sidecar: sidecar.replace(
+                b'"byteorder": "%s"' % sys.byteorder.encode(),
+                b'"byteorder": "%s"' % ("big" if sys.byteorder == "little" else "little").encode(),
+            ),
+            lambda sidecar: b"[]\n" + sidecar.partition(b"\n")[2],
+            lambda sidecar: b"",
+        ],
+        ids=["truncated-arrays", "truncated-header", "format", "byteorder", "not-a-header", "empty"],
+    )
+    def test_spoilt_sidecar_is_not_trusted(self, spoil):
+        payload = (DATA_DIR / "protocol_corpus.jsonl").read_bytes()
+        sidecar, digest = _sidecar_of(payload)
+        spoilt = spoil(sidecar)
+        assert spoilt != sidecar
+        assert log_from_sidecar(spoilt, digest, len(payload), "p") is None
+
+    def test_other_stream_is_not_trusted(self):
+        payload = (DATA_DIR / "protocol_corpus.jsonl").read_bytes()
+        sidecar, digest = _sidecar_of(payload)
+        assert log_from_sidecar(sidecar, digest, len(payload), "p") is not None
+        assert log_from_sidecar(sidecar, digest, len(payload) + 1, "p") is None
+        assert log_from_sidecar(sidecar, hashlib.sha256(b"edited").hexdigest(), len(payload), "p") is None
+
+
+def _stream_folds(run_dir, bench):
+    """Each process's log, folded again from its stream."""
+    logs = []
+    for stream in sorted((run_dir / bench).glob("*.jsonl"), key=lambda p: int(p.stem)):
+        fold = LogFold(f"{bench}/{stream.stem}")
+        fold.feed(stream.read_bytes())
+        logs.append(fold.finish())
+    return logs
+
+
+def _loaded_logs(run_dir, bench):
+    return [o.log for o in load_run(run_dir).records[bench].outcomes]
+
+
+@pytest.fixture
+def decode_counter(monkeypatch):
+    """Counts the chunks LogFold decodes from here on."""
+    calls = []
+    feed = LogFold.feed
+
+    def counted(self, chunk):
+        calls.append(len(chunk))
+        return feed(self, chunk)
+
+    monkeypatch.setattr(LogFold, "feed", counted)
+    return calls
+
+
+class TestLoadRunSidecar:
+    def test_run_writes_one_sidecar_per_stream_and_report_decodes_none(self, tmp_path, decode_counter):
+        run_dir, _ = run(setup_suite(worker_bench(name="keep")), POOL4, tmp_path, check_setup=False)
+        assert sorted(p.name for p in (run_dir / "keep").glob("*.fold")) == ["0.fold", "1.fold", "2.fold", "3.fold"]
+        assert not list(run_dir.glob("*/*.fold.*"))
+        want = _stream_folds(run_dir, "keep")
+        decode_counter.clear()
+        got = _loaded_logs(run_dir, "keep")
+        assert decode_counter == []
+        assert [_fields(g) for g in got] == [_fields(w) for w in want]
+
+    def test_sidecar_keeps_the_fold_not_the_verdict(self, tmp_path, decode_counter):
+        # Timeout, too few observations and a failed gang each edit the log in
+        # supervise or _run_bench; the sidecar holds the fold of the stream alone.
+        stall = BenchmarkSpec(
+            name="stall",
+            run_cmd=f"{WORKER_CMD} --obs-min 1 --obs-max 500 --sleep-per-batch 0.4 --batches-per-epoch 2 --seed 0",
+            timeout_s=1.5,
+            obs_min=1,
+        )
+        thin = BenchmarkSpec(name="thin", run_cmd=f"{WORKER_CMD} --obs-min 1 --obs-max 10 --seed 0", obs_min=30)
+        gang = BenchmarkSpec(
+            name="gang",
+            scale="node-devices",
+            run_cmd=f"{WORKER_CMD} --obs-min 5 --obs-max 10 --seed 0 --kind crashing --crash-after {{rank}}0",
+            obs_min=5,
+        )
+        pool = DevicePool(devices=("d0", "d1"))
+        run_dir, records = run(setup_suite(stall, thin, gang), pool, tmp_path, check_setup=False)
+        live = {r.bench: [o.log for o in r.outcomes] for r in records}
+        assert {log.terminal for log in live["stall"]} == {"timeout"}
+        assert {log.message for log in live["thin"]} == {"insufficient observations"}
+        assert live["gang"][1].message == "gang member failed"
+        for bench in ("stall", "thin", "gang"):
+            want = _stream_folds(run_dir, bench)
+            decode_counter.clear()
+            got = _loaded_logs(run_dir, bench)
+            assert decode_counter == [], bench
+            assert [_fields(g) for g in got] == [_fields(w) for w in want], bench
+        assert {log.terminal for log in got} == {"error", "success"}
+
+    def test_edited_stream_is_decoded_again(self, tmp_path, decode_counter):
+        run_dir, _ = run(setup_suite(worker_bench(name="keep")), POOL1, tmp_path, check_setup=False)
+        stream = run_dir / "keep" / "0.jsonl"
+        before = _stream_folds(run_dir, "keep")[0]
+        # An edit that keeps the length: only the digest tells the streams apart.
+        stream.write_bytes(stream.read_bytes().replace(b'"event":"rate"', b'"event":"RATE"', 1))
+        decode_counter.clear()
+        (got,) = _loaded_logs(run_dir, "keep")
+        assert decode_counter != []
+        assert _fields(got) == _fields(_stream_folds(run_dir, "keep")[0])
+        assert (len(got.observations), got.rejected) == (len(before.observations) - 1, before.rejected + 1)
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda sidecar: sidecar.unlink(),
+            lambda sidecar: sidecar.write_bytes(sidecar.read_bytes()[:-3]),
+            lambda sidecar: sidecar.write_bytes(
+                sidecar.read_bytes().replace(b'"format": %d' % FOLD_FORMAT, b'"format": %d' % (FOLD_FORMAT + 1))
+            ),
+            lambda sidecar: sidecar.write_bytes(sidecar.read_bytes().replace(b'"byteorder": "', b'"byteorder": "x')),
+            lambda sidecar: (sidecar.unlink(), sidecar.mkdir()),
+        ],
+        ids=["deleted", "truncated", "format", "byteorder", "unreadable"],
+    )
+    def test_spoilt_sidecar_falls_back_to_the_stream(self, tmp_path, decode_counter, spoil):
+        run_dir, _ = run(setup_suite(worker_bench(name="keep")), POOL1, tmp_path, check_setup=False)
+        want = _stream_folds(run_dir, "keep")
+        spoil(run_dir / "keep" / "0.fold")
+        decode_counter.clear()
+        got = _loaded_logs(run_dir, "keep")
+        assert decode_counter != []
+        assert [_fields(g) for g in got] == [_fields(w) for w in want]
+

@@ -106,6 +106,24 @@ class TestDecode:
         assert isinstance(item, Rejection)
         assert "unknown kind" in item.reason
 
+    def test_unknown_kind_reason_is_capped(self):
+        assert decode_event('{"event":"foo","time":1.0,"task":"t","data":{}}').reason == "unknown kind 'foo'"
+        kind = "k" * 1_000_000
+        item = decode_event(json.dumps({"event": kind, "time": 1.0, "task": "t", "data": {}}))
+        assert item.reason == "unknown kind '" + "k" * 63 + "..."
+        assert len(item.line) > 1_000_000
+
+    @pytest.mark.parametrize(
+        "line",
+        ["[" * 100_000, '{"a":' * 100_000, '{"event":' + "[" * 100_000 + "]" * 100_000],
+        ids=["arrays", "objects", "kind"],
+    )
+    def test_deep_nesting_is_rejected_not_fatal(self, line):
+        # The JSON scanner recurses once per level; the recursion limit must not escape.
+        assert decode_event(line) == Rejection(line, "nesting too deep")
+        items = StreamDecoder().feed(line.encode() + b"\n" + b'{"event":"end","time":1,"task":"t","data":{}}\n')
+        assert [type(item) for item in items] == [Rejection, MetricEvent]
+
     def test_missing_keys_rejection(self):
         item = decode_event('{"event":"end","time":1.0}')
         assert isinstance(item, Rejection)
