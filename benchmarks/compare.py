@@ -16,8 +16,9 @@ The output holds, per workload and end-to-end metric, each side's runs,
 median and quartiles, how many pairs the head won, whether the head's median
 beats the base's by more than the base's quartile distance, and the relative
 change against the bound in the head's ``BENCHMARK.json``; then the traced
-pair's per-layer metrics, and the ``--layers`` named as moved. Only the
-standard library is used.
+pair's per-layer metrics, and the ``--layers`` named as moved. ``--layers``
+must name ``per_layer`` metrics of the head's ``BENCHMARK.json``; that is
+checked before any run. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -107,14 +108,18 @@ def run_workload(trees: dict[str, Path], workload: str, seeds: list[int], second
         name: {side: pair[side]["metrics"].get(name) for side in SIDES}
         for name in pair["head"]["metrics"]
     }
-    out["layers_moved"] = {
-        name: {
-            **out["per_layer"][name],
-            "head_over_base": pair["head"]["metrics"][name] / pair["base"]["metrics"][name],
-        }
-        for name in layers
-    }
+    out["layers_moved"] = layers_moved(out["per_layer"], layers)
     return out
+
+
+def layers_moved(per_layer: dict[str, dict], layers: list[str]) -> dict:
+    """Each named layer's traced pair and head/base ratio; the ratio is null when base is 0 or absent."""
+    moved = {}
+    for name in layers:
+        pair = per_layer.get(name, {side: None for side in SIDES})
+        base, head = pair["base"], pair["head"]
+        moved[name] = {**pair, "head_over_base": head / base if base and head is not None else None}
+    return moved
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -138,6 +143,9 @@ def main(argv: list[str] | None = None) -> int:
     seconds = contract["run_seconds"]
     seeds = parse_seeds(args.seeds)
     layers = [name for name in args.layers.split(",") if name]
+    unknown = sorted(set(layers) - {m["name"] for m in contract["per_layer"]})
+    if unknown:
+        parser.error(f"--layers: not a per_layer metric of the head's BENCHMARK.json: {', '.join(unknown)}")
     doc = {
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {seconds:g} --trace 0|1",

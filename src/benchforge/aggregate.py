@@ -13,8 +13,7 @@ magnitude that per-benchmark rates span.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .protocol import ObservationLog
 
@@ -23,10 +22,7 @@ class AggregateError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BenchResult:
-    """Folded outcome of one benchmark on one system."""
-
+class _BenchResultFields(NamedTuple):
     bench: str
     weight: float
     perf: float  # units of work per second; 0 when nothing succeeded
@@ -34,24 +30,46 @@ class BenchResult:
     n_processes: int = 0
     per_process_rates: tuple[float | None, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.success_rate <= 1.0:
-            raise AggregateError(f"{self.bench}: success_rate must be in [0,1]")
-        if not math.isfinite(self.perf):
-            raise AggregateError(f"{self.bench}: perf must be finite")
-        if self.perf < 0:
-            raise AggregateError(f"{self.bench}: perf must be >= 0")
+
+class BenchResult(_BenchResultFields):
+    """Folded outcome of one benchmark on one system."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        bench: str,
+        weight: float,
+        perf: float,
+        success_rate: float,
+        n_processes: int = 0,
+        per_process_rates: tuple[float | None, ...] = (),
+    ):
+        if not 0.0 <= success_rate <= 1.0:
+            raise AggregateError(f"{bench}: success_rate must be in [0,1]")
+        if not math.isfinite(perf):
+            raise AggregateError(f"{bench}: perf must be finite")
+        if perf < 0:
+            raise AggregateError(f"{bench}: perf must be >= 0")
+        return super().__new__(cls, bench, weight, perf, success_rate, n_processes, per_process_rates)
 
 
-@dataclass(frozen=True)
-class SuiteScore:
+class _SuiteScoreFields(NamedTuple):
     score: float
-    contributions: dict[str, float] = field(default_factory=dict)
-    total_weight: float = 0.0
+    contributions: dict[str, float]
+    total_weight: float
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class SuiteScore(_SuiteScoreFields):
+    """The global score. ``contributions`` defaults to a fresh ``{}``."""
+
+    __slots__ = ()
+
+    def __new__(cls, score: float, contributions: dict[str, float] | None = None, total_weight: float = 0.0):
+        return super().__new__(cls, score, {} if contributions is None else contributions, total_weight)
+
+
+class RatioRow(NamedTuple):
     bench: str
     baseline_perf: float | None
     candidate_perf: float | None
@@ -72,7 +90,10 @@ def fold_process(log: ObservationLog, drop_warmup: bool = True) -> float | None:
         rates = log.rates()
     if not rates:
         return None
-    return statistics.median(rates)
+    # What statistics.median returns, without importing it.
+    rates.sort()
+    mid = len(rates) // 2
+    return rates[mid] if len(rates) % 2 else (rates[mid - 1] + rates[mid]) / 2
 
 
 def fold_bench(spec, record, drop_warmup: bool = True) -> BenchResult:

@@ -10,7 +10,6 @@ from pathlib import Path
 
 from . import __version__
 from .aggregate import AggregateError, fold_bench
-from .design import DesignError, coverage_proportions, mlcm_build, mlcm_metrics
 from .executor import DevicePool, ExecutorError, install, load_run, prepare, run
 from .report import ReportError, render_csv, render_json, render_report, render_text
 from .suite import SuiteError, load_suite, select_benchmarks
@@ -108,8 +107,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
-    if args.mlcm:
-        return _design_mlcm(args)
+    # Imported here: no other command needs design, so none of them pays for it.
+    from .design import DesignError
+
+    try:
+        return _design_mlcm(args) if args.mlcm else _design_coverage(args)
+    except DesignError as exc:
+        return _fail(exc)
+
+
+def _design_coverage(args: argparse.Namespace) -> int:
+    from .design import coverage_proportions
+
     if not args.config:
         raise SuiteError("design requires --config (coverage) or --mlcm (confusion matrix)")
     cfg = load_suite(args.config)
@@ -137,6 +146,8 @@ def _cmd_design(args: argparse.Namespace) -> int:
 
 
 def _design_mlcm(args: argparse.Namespace) -> int:
+    from .design import DesignError, mlcm_build, mlcm_metrics
+
     samples = []
     labels_seen: set[str] = set()
     with open(args.mlcm, newline="", encoding="utf-8") as f:
@@ -215,6 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception) -> int:
+    print(f"benchforge: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -228,9 +244,8 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_report(args)
         if args.command == "design":
             return _cmd_design(args)
-    except (SuiteError, ReportError, DesignError, AggregateError, ExecutorError, OSError) as exc:
-        print(f"benchforge: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (SuiteError, ReportError, AggregateError, ExecutorError, OSError) as exc:
+        return _fail(exc)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -10,7 +10,7 @@ No-True-Label margins so misses and spurious predictions stay visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .suite import SuiteConfig, TAG_DIMENSIONS
 
@@ -22,8 +22,7 @@ class DesignError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     proportions: dict[str, dict[str, float]]
     deviation: dict[str, float]
     total_weight: float
@@ -67,26 +66,26 @@ def coverage_proportions(cfg: SuiteConfig) -> CoverageReport:
     return CoverageReport(proportions=proportions, deviation=deviation, total_weight=total_weight)
 
 
-@dataclass
 class MLCMatrix:
     """(C+1) x (C+1) multi-label confusion counts.
 
     Rows are true classes plus the NTL row; columns are predicted classes
     plus the NPL column. Every per-sample label allocation lands in
-    exactly one cell.
+    exactly one cell. ``counts`` defaults to a fresh all-zero matrix.
     """
 
-    classes: tuple[str, ...]
-    counts: list[list[int]] = field(default_factory=list)
+    __slots__ = ("classes", "counts")
 
-    def __post_init__(self) -> None:
-        n = len(self.classes) + 1
-        if not self.counts:
-            self.counts = [[0] * n for _ in range(n)]
-        if len(self.counts) != n or any(len(row) != n for row in self.counts):
-            raise DesignError(f"counts must be {n}x{n} for {len(self.classes)} classes")
-        if any(c < 0 for row in self.counts for c in row):
+    def __init__(self, classes: tuple[str, ...], counts: list[list[int]] | None = None) -> None:
+        n = len(classes) + 1
+        if not counts:
+            counts = [[0] * n for _ in range(n)]
+        if len(counts) != n or any(len(row) != n for row in counts):
+            raise DesignError(f"counts must be {n}x{n} for {len(classes)} classes")
+        if any(c < 0 for row in counts for c in row):
             raise DesignError("counts must be non-negative")
+        self.classes = classes
+        self.counts = counts
 
     def index(self, label: str) -> int:
         try:
@@ -106,8 +105,7 @@ class MLCMatrix:
         return sum(sum(row) for row in self.counts)
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
+class ClassMetrics(NamedTuple):
     """Per-class precision and recall, percentages in [0, 100].
 
     ``precision`` divides the diagonal by its column sum (NTL row

@@ -26,8 +26,6 @@ import struct
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
@@ -54,7 +52,6 @@ class ExecutorError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
 class DevicePool:
     """Declared (never probed) pool of opaque device ids across nodes.
 
@@ -62,22 +59,20 @@ class DevicePool:
     taking the remainder.
     """
 
-    devices: tuple[str, ...]
-    nodes: int = 1
-    _node: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("devices", "nodes", "_node")
 
-    def __post_init__(self) -> None:
-        if not self.devices:
+    def __init__(self, devices: tuple[str, ...], nodes: int = 1) -> None:
+        if not devices:
             raise ExecutorError("device pool must not be empty")
-        if len(set(self.devices)) != len(self.devices):
+        if len(set(devices)) != len(devices):
             raise ExecutorError("device ids must be unique")
-        if not 1 <= self.nodes <= len(self.devices):
-            raise ExecutorError(
-                f"need 1 <= nodes <= {len(self.devices)}, got {self.nodes}"
-            )
-        base, extra = divmod(len(self.devices), self.nodes)
-        owners = [node for node in range(self.nodes) for _ in range(base + (node < extra))]
-        object.__setattr__(self, "_node", dict(zip(self.devices, owners)))
+        if not 1 <= nodes <= len(devices):
+            raise ExecutorError(f"need 1 <= nodes <= {len(devices)}, got {nodes}")
+        self.devices = devices
+        self.nodes = nodes
+        base, extra = divmod(len(devices), nodes)
+        owners = [node for node in range(nodes) for _ in range(base + (node < extra))]
+        self._node = dict(zip(devices, owners))
 
     def node_of(self, device: str) -> int:
         try:
@@ -89,38 +84,67 @@ class DevicePool:
         return tuple(d for d in self.devices if self._node[d] == node)
 
 
-@dataclass
 class ProcessPlan:
     """One resolved child-process launch."""
 
-    bench: str
-    rank: int
-    world_size: int
-    devices: tuple[str, ...]
-    env: dict[str, str]
-    command: tuple[str, ...]
-    timeout_s: float
-    obs_min: int
-    gang_id: str | None = None
-    node: int = 0
+    __slots__ = (
+        "bench", "rank", "world_size", "devices", "env", "command", "timeout_s", "obs_min", "gang_id", "node",
+    )
+
+    def __init__(
+        self,
+        bench: str,
+        rank: int,
+        world_size: int,
+        devices: tuple[str, ...],
+        env: dict[str, str],
+        command: tuple[str, ...],
+        timeout_s: float,
+        obs_min: int,
+        gang_id: str | None = None,
+        node: int = 0,
+    ) -> None:
+        self.bench = bench
+        self.rank = rank
+        self.world_size = world_size
+        self.devices = devices
+        self.env = env
+        self.command = command
+        self.timeout_s = timeout_s
+        self.obs_min = obs_min
+        self.gang_id = gang_id
+        self.node = node
 
 
-@dataclass
 class ProcessOutcome:
-    plan: ProcessPlan
-    log: ObservationLog
-    exit_code: int
-    duration_s: float
-    classified: str  # one of {success, error, timeout}
+    __slots__ = ("plan", "log", "exit_code", "duration_s", "classified")
+
+    def __init__(
+        self, plan: ProcessPlan, log: ObservationLog, exit_code: int, duration_s: float, classified: str
+    ) -> None:
+        self.plan = plan
+        self.log = log
+        self.exit_code = exit_code
+        self.duration_s = duration_s
+        self.classified = classified  # one of {success, error, timeout}
 
 
-@dataclass
 class RunRecord:
-    bench: str
-    outcomes: list[ProcessOutcome] = field(default_factory=list)
-    phase_durations: dict[str, float] = field(default_factory=dict)
-    run_dir: Path | None = None
-    error: str | None = None
+    __slots__ = ("bench", "outcomes", "phase_durations", "run_dir", "error")
+
+    def __init__(
+        self,
+        bench: str,
+        outcomes: list[ProcessOutcome] | None = None,
+        phase_durations: dict[str, float] | None = None,
+        run_dir: Path | None = None,
+        error: str | None = None,
+    ) -> None:
+        self.bench = bench
+        self.outcomes = [] if outcomes is None else outcomes
+        self.phase_durations = {} if phase_durations is None else phase_durations
+        self.run_dir = run_dir
+        self.error = error
 
 
 def _resolve(template: str, values: dict[str, object]) -> tuple[str, ...]:
@@ -192,6 +216,8 @@ def plan_launches(
                 "BENCHFORGE_RANK": str(rank),
                 "BENCHFORGE_WORLD_SIZE": str(world_size),
                 "BENCHFORGE_NODE": str(node),
+                "BENCHFORGE_OBS_MIN": str(spec.obs_min),
+                "BENCHFORGE_OBS_MAX": str(spec.obs_max),
             }
         )
         if gang_id is not None:
@@ -582,10 +608,13 @@ def _run_bench(
         plans = plan_launches(bench, pool, base_dir)
     except ExecutorError as exc:
         record.error = str(exc)
+        record.phase_durations["run"] = time.monotonic() - started
         bench_out.mkdir(parents=True, exist_ok=True)
         _write_outcomes(bench_out, record)
-        record.phase_durations["run"] = time.monotonic() - started
         return record
+
+    # Imported here, its only use, so that no other command loads concurrent.futures.
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=len(plans)) as executor:
         futures = [executor.submit(supervise, plan, bench_out) for plan in plans]
@@ -622,7 +651,12 @@ def _write_outcomes(bench_out: Path, record: RunRecord) -> None:
         }
         for o in record.outcomes
     ]
-    payload = {"bench": record.bench, "error": record.error, "outcomes": rows}
+    payload = {
+        "bench": record.bench,
+        "error": record.error,
+        "phase_durations": record.phase_durations,
+        "outcomes": rows,
+    }
     (bench_out / "outcomes.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
 
@@ -637,14 +671,16 @@ def _new_run_dir(base_dir: Path) -> Path:
     return candidate
 
 
-@dataclass
 class LoadedRun:
     """A run directory read back for reporting."""
 
-    run_dir: Path
-    meta: dict
-    suite: SuiteConfig
-    records: dict[str, RunRecord]
+    __slots__ = ("run_dir", "meta", "suite", "records")
+
+    def __init__(self, run_dir: Path, meta: dict, suite: SuiteConfig, records: dict[str, RunRecord]) -> None:
+        self.run_dir = run_dir
+        self.meta = meta
+        self.suite = suite
+        self.records = records
 
 
 def load_run(run_dir: Path | str) -> LoadedRun:

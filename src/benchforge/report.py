@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 
 from .aggregate import BenchResult, ratio_to_baseline, suite_score
 
@@ -21,36 +20,51 @@ class ReportError(ValueError):
     pass
 
 
-@dataclass
 class Cell:
-    perf: float | None
-    success_rate: float
-    ratio: float | None = None
+    __slots__ = ("perf", "success_rate", "ratio")
+
+    def __init__(self, perf: float | None, success_rate: float, ratio: float | None = None) -> None:
+        self.perf = perf
+        self.success_rate = success_rate
+        self.ratio = ratio
 
 
-@dataclass
 class ReportRow:
-    bench: str
-    weight: float
-    cells: dict[str, Cell] = field(default_factory=dict)
+    __slots__ = ("bench", "weight", "cells")
+
+    def __init__(self, bench: str, weight: float, cells: dict[str, Cell] | None = None) -> None:
+        self.bench = bench
+        self.weight = weight
+        self.cells = {} if cells is None else cells
 
 
-@dataclass
 class GlobalCell:
-    score: float
-    total_weight: float
-    ratio: float | None = None
+    __slots__ = ("score", "total_weight", "ratio")
+
+    def __init__(self, score: float, total_weight: float, ratio: float | None = None) -> None:
+        self.score = score
+        self.total_weight = total_weight
+        self.ratio = ratio
 
 
-@dataclass
 class ReportDocument:
     """Merged rows plus per-system global scores; row order = suite order."""
 
-    systems: list[str]
-    baseline: str | None
-    rows: list[ReportRow]
-    global_scores: dict[str, GlobalCell]
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ("systems", "baseline", "rows", "global_scores", "metadata")
+
+    def __init__(
+        self,
+        systems: list[str],
+        baseline: str | None,
+        rows: list[ReportRow],
+        global_scores: dict[str, GlobalCell],
+        metadata: dict | None = None,
+    ) -> None:
+        self.systems = systems
+        self.baseline = baseline
+        self.rows = rows
+        self.global_scores = global_scores
+        self.metadata = {} if metadata is None else metadata
 
 
 def render_report(

@@ -10,8 +10,7 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, NamedTuple
 
 import yaml
 
@@ -46,8 +45,7 @@ class SuiteError(ValueError):
     """Raised for malformed or inconsistent suite documents."""
 
 
-@dataclass(frozen=True)
-class TaxonomyTags:
+class TaxonomyTags(NamedTuple):
     """Design-dimension labels for one benchmark.
 
     All dimensions may carry several labels except ``model_size_class``,
@@ -66,24 +64,26 @@ class TaxonomyTags:
         return getattr(self, dimension)
 
 
-@dataclass(frozen=True)
-class BenchmarkDefaults:
+class BenchmarkDefaults(NamedTuple):
     obs_min: int = DEFAULT_OBS_MIN
     obs_max: int = DEFAULT_OBS_MAX
     timeout_s: float = DEFAULT_TIMEOUT_S
 
 
-@dataclass(frozen=True)
-class CoverageTargets:
-    """Target proportion per column, per design dimension."""
-
-    dimensions: dict[str, dict[str, float]] = field(default_factory=dict)
+class _CoverageTargetsFields(NamedTuple):
+    dimensions: dict[str, dict[str, float]]
 
 
-@dataclass(frozen=True)
-class BenchmarkSpec:
-    """One suite entry."""
+class CoverageTargets(_CoverageTargetsFields):
+    """Target proportion per column, per design dimension. ``dimensions`` defaults to a fresh ``{}``."""
 
+    __slots__ = ()
+
+    def __new__(cls, dimensions: dict[str, dict[str, float]] | None = None):
+        return super().__new__(cls, {} if dimensions is None else dimensions)
+
+
+class _BenchmarkSpecFields(NamedTuple):
     name: str
     weight: float = 1.0
     enabled: bool = True
@@ -91,7 +91,7 @@ class BenchmarkSpec:
     install_cmd: str = ""
     prepare_cmd: str = ""
     run_cmd: str = ""
-    env: dict[str, str] = field(default_factory=dict)
+    env: dict[str, str] = None  # BenchmarkSpec.__new__ puts a fresh {} here
     unit_of_work: str = "items"
     obs_min: int = DEFAULT_OBS_MIN
     obs_max: int = DEFAULT_OBS_MAX
@@ -99,8 +99,17 @@ class BenchmarkSpec:
     tags: TaxonomyTags | None = None
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class BenchmarkSpec(_BenchmarkSpecFields):
+    """One suite entry. ``env`` defaults to a fresh ``{}``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any):
+        spec = super().__new__(cls, *args, **kwargs)
+        return spec if spec.env is not None else spec._replace(env={})
+
+
+class SuiteConfig(NamedTuple):
     """A parsed suite. Immutable after construction; safe to share."""
 
     suite_name: str
@@ -252,7 +261,7 @@ def select_benchmarks(cfg: SuiteConfig, selector: str) -> SuiteConfig:
     )
     if not matched:
         raise SuiteError(f"selector {selector!r} matches no enabled benchmark")
-    return replace(cfg, benchmarks=matched)
+    return cfg._replace(benchmarks=matched)
 
 
 _SELECTOR_KEYS = {

@@ -464,6 +464,19 @@ def _open_metric_channel():
     return os.fdopen(fd, "w", encoding="utf-8")
 
 
+def _env_default(flag: int | None, variable: str, default: int) -> int:
+    """An explicit flag, else the integer the harness exported in ``variable``, else ``default``."""
+    if flag is not None:
+        return flag
+    text = os.environ.get(variable)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{variable} must be an integer, got {text!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="benchforge-worker",
@@ -477,8 +490,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--batches-per-epoch", type=int, default=25)
     parser.add_argument("--units", default="items")
-    parser.add_argument("--obs-min", type=int, default=30)
-    parser.add_argument("--obs-max", type=int, default=60)
+    parser.add_argument("--obs-min", type=int, default=None, help="default: $BENCHFORGE_OBS_MIN, else 30")
+    parser.add_argument("--obs-max", type=int, default=None, help="default: $BENCHFORGE_OBS_MAX, else 60")
     parser.add_argument("--epochs-max", type=int, default=10)
     parser.add_argument("--no-defer-flush", action="store_true")
     parser.add_argument("--seed", type=int, default=0)
@@ -504,8 +517,8 @@ def main(argv: list[str] | None = None) -> int:
             sleep_per_batch=args.sleep_per_batch,
         )
         cfg = TimerConfig(
-            obs_min=args.obs_min,
-            obs_max=args.obs_max,
+            obs_min=_env_default(args.obs_min, "BENCHFORGE_OBS_MIN", 30),
+            obs_max=_env_default(args.obs_max, "BENCHFORGE_OBS_MAX", 60),
             epochs_max=args.epochs_max,
             defer_flush=not args.no_defer_flush,
         )

@@ -2,9 +2,12 @@
 
 import math
 import random
+import statistics
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from benchforge.aggregate import (
     AggregateError,
@@ -60,6 +63,14 @@ class TestFoldProcess:
             n = len(ordered)
             want = ordered[n // 2] if n % 2 else (ordered[n // 2 - 1] + ordered[n // 2]) / 2
             assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
+    @given(data=st.data())
+    def test_median_is_statistics_median_bit_for_bit(self, parity, data):
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_nan=False)
+        rates = data.draw(st.lists(positive, min_size=1).filter(lambda xs: len(xs) % 2 == parity))
+        # work / elapsed with elapsed 1.0 is the rate exactly.
+        assert fold_process(log_with_rates(rates)).hex() == statistics.median(rates).hex()
 
     def test_warmup_dropped_by_default(self):
         log = log_with_rates([1000, 10, 10, 10], warmup_first=True)
@@ -138,6 +149,11 @@ class TestSuiteScore:
     def test_bench_result_rejects_bad_perf(self, perf):
         with pytest.raises(AggregateError, match="perf must be"):
             BenchResult("a", 1.0, perf, 1.0)
+
+    @pytest.mark.parametrize("success_rate", [-0.1, 1.5, math.nan])
+    def test_bench_result_rejects_bad_success_rate(self, success_rate):
+        with pytest.raises(AggregateError, match=r"^a: success_rate must be in \[0,1\]$"):
+            BenchResult("a", 1.0, 5.0, success_rate)
 
     def test_no_weighted_benchmarks_is_an_error(self):
         with pytest.raises(AggregateError, match="no weighted"):

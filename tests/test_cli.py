@@ -110,6 +110,23 @@ class TestReportCLI:
         assert "Global Score" in text
         assert "perf:boxA" in text
 
+    def test_report_does_not_read_phase_durations(self, suite_path, tmp_path, capsys):
+        run_dir = run_once(suite_path, tmp_path / "a", "boxA")
+        capsys.readouterr()
+        before = {}
+        for fmt in ("text", "csv", "json"):
+            assert main(["report", "--runs", str(run_dir), "--format", fmt]) == 0
+            before[fmt] = capsys.readouterr().out
+        for bench in ("fast", "slow"):
+            path = run_dir / bench / "outcomes.json"
+            payload = json.loads(path.read_text())
+            assert set(payload["phase_durations"]) == {"run"}
+            payload["phase_durations"] = "not read"
+            path.write_text(json.dumps(payload))
+        for fmt in ("text", "csv", "json"):
+            assert main(["report", "--runs", str(run_dir), "--format", fmt]) == 0
+            assert capsys.readouterr().out == before[fmt]
+
     def test_infinite_batch_is_rejected_not_scored(self, tmp_path, capsys):
         # 1e999 decodes to inf; it must neither reach the score nor crash the JSON report.
         line = '{"event":"rate","time":1,"task":"train","data":{"batch":1e999,"rate":1,"t0":0,"t1":1,"units":"x"}}'
@@ -292,3 +309,19 @@ class TestDesignCLI:
 
     def test_design_without_inputs_is_config_error(self, capsys):
         assert main(["design"]) == 4
+
+    def test_design_error_is_config_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_text("id,labels\n1,A\n")
+        assert main(["design", "--mlcm", str(csv_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "benchforge: MLCM CSV must have columns ['predicted_labels', 'sample_id', 'true_labels']\n"
+        )
+        assert captured.out == ""
+
+    def test_untagged_weighted_benchmark_is_config_error(self, tmp_path, capsys):
+        suite = tmp_path / "suite.yaml"
+        suite.write_text(SMALL_SUITE)
+        assert main(["design", "--config", str(suite)]) == 4
+        assert capsys.readouterr().err == "benchforge: benchmark 'fast' carries weight but no tags\n"

@@ -111,6 +111,10 @@ class TestPlanLaunches:
         assert len(plans) == 1
         assert plans[0].env["BENCHFORGE_DEVICE"] == "d0"
 
+    def test_plans_export_the_observation_budget(self):
+        plans = plan_launches(worker_bench(obs_min=7, obs_max=40, scale="node-devices"), POOL8_2N)
+        assert {(p.env["BENCHFORGE_OBS_MIN"], p.env["BENCHFORGE_OBS_MAX"]) for p in plans} == {("7", "40")}
+
     def test_placeholder_resolution(self, tmp_path):
         bench = BenchmarkSpec(
             name="ph",
@@ -385,6 +389,25 @@ class TestRun:
         assert "insufficient nodes" in records[0].error
         assert records[0].outcomes == []
         assert all(o.classified == "success" for o in records[1].outcomes)
+
+    def test_worker_without_flags_keeps_the_suite_budget(self, tmp_path):
+        budget = BenchmarkSpec(name="budget", run_cmd=f"{WORKER_CMD} --seed {{rank}}", obs_max=40)
+        run_dir, records = run(setup_suite(budget), POOL1, tmp_path, check_setup=False)
+        (outcome,) = records[0].outcomes
+        assert outcome.classified == "success"
+        assert len(outcome.log.observations) == 40
+        (row,) = json.loads((run_dir / "budget" / "outcomes.json").read_text())["outcomes"]
+        assert row["observations"] == 40
+
+    def test_phase_durations_are_written(self, tmp_path):
+        cfg = setup_suite(worker_bench(name="ok"), worker_bench(name="mn", scale="multi-node"))
+        run_dir, records = run(cfg, POOL4, tmp_path, check_setup=False)
+        assert records[1].error is not None  # the plan-error path
+        for record in records:
+            payload = json.loads((run_dir / record.bench / "outcomes.json").read_text())
+            assert set(payload["phase_durations"]) == {"run"}
+            assert payload["phase_durations"]["run"] > 0
+            assert payload["phase_durations"] == record.phase_durations
 
     def test_setup_check_blocks_unprepared_run(self, tmp_path):
         cfg = setup_suite(

@@ -1,4 +1,4 @@
-"""Package surface and import hygiene: workers must not pay for the harness."""
+"""Package surface and import hygiene: workers must not pay for the harness, nor the CLI for what it does not run."""
 
 import importlib
 import json
@@ -9,7 +9,12 @@ import sys
 import pytest
 
 import benchforge
+from benchforge.aggregate import BenchResult, RatioRow, SuiteScore
+from benchforge.design import ClassMetrics, CoverageReport, MLCMatrix
+from benchforge.executor import RunRecord
 from benchforge.protocol import MetricEvent, Observation, Rejection
+from benchforge.report import ReportDocument, ReportRow
+from benchforge.suite import BenchmarkDefaults, BenchmarkSpec, CoverageTargets, SuiteConfig, TaxonomyTags
 from benchforge.worker import TimerConfig, WorkloadSpec
 from conftest import REPO_DIR
 
@@ -28,6 +33,21 @@ HARNESS_ONLY = (
 
 # What ``dataclasses`` pulls in; a worker's value types are NamedTuples instead.
 DATACLASS_ONLY = ("dataclasses", "inspect")
+
+# What no ``report`` or ``run`` needs: dataclasses, statistics and what they
+# load, the thread pool (imported by ``run`` when it starts one) and design.
+CLI_NEVER_AT_IMPORT = (
+    "dataclasses",
+    "inspect",
+    "statistics",
+    "fractions",
+    "decimal",
+    "concurrent.futures",
+    "benchforge.design",
+)
+
+# Every module the benchmark's tracer wraps must still load with the CLI.
+TRACED = ("suite", "executor", "protocol", "aggregate", "report", "cli")
 
 
 def fresh_python(*args: str) -> subprocess.CompletedProcess:
@@ -59,6 +79,14 @@ class TestImportHygiene:
         done = fresh_python("-W", "error::RuntimeWarning", "-m", "benchforge.worker", "--obs-max", "30")
         assert done.returncode == 0, done.stderr
         assert '"event":"success"' in done.stdout
+
+    @pytest.mark.parametrize("module", CLI_NEVER_AT_IMPORT)
+    def test_cli_import_does_not_load(self, module):
+        assert module not in modules_after("import benchforge.cli")
+
+    def test_cli_import_loads_every_traced_layer(self):
+        loaded = modules_after("import benchforge.cli")
+        assert {f"benchforge.{layer}" for layer in TRACED} <= loaded
 
     def test_bare_package_import_loads_no_submodule(self):
         loaded = modules_after("import benchforge")
@@ -94,6 +122,16 @@ FROZEN = [
     (Observation, "work", lambda: Observation(work=2.0, elapsed=1.0)),
     (TimerConfig, "obs_min", lambda: TimerConfig(obs_min=5)),
     (WorkloadSpec, "base_rate", lambda: WorkloadSpec(kind="jitter", jitter_frac=0.1)),
+    (TaxonomyTags, "domains", lambda: TaxonomyTags(domains=frozenset({"NLP"}), model_size_class="7B")),
+    (BenchmarkDefaults, "obs_max", lambda: BenchmarkDefaults(obs_max=90)),
+    (CoverageTargets, "dimensions", lambda: CoverageTargets({"domains": {"NLP": 1.0}})),
+    (BenchmarkSpec, "env", lambda: BenchmarkSpec(name="b", run_cmd="w", env={"K": "v"})),
+    (SuiteConfig, "benchmarks", lambda: SuiteConfig("s", (BenchmarkSpec(name="b", run_cmd="w"),))),
+    (BenchResult, "perf", lambda: BenchResult("b", 1.0, 2.0, 1.0, 1, (2.0,))),
+    (SuiteScore, "score", lambda: SuiteScore(2.0, {"b": 1.0}, 1.0)),
+    (RatioRow, "ratio", lambda: RatioRow("b", 1.0, 2.0, 2.0)),
+    (CoverageReport, "deviation", lambda: CoverageReport({"domains": {"NLP": 1.0}}, {}, 1.0)),
+    (ClassMetrics, "recall", lambda: ClassMetrics(("A",), {"A": 50.0}, {"A": None})),
 ]
 FROZEN_IDS = [cls.__name__ for cls, _, _ in FROZEN]
 
@@ -130,3 +168,39 @@ class TestValueTypes:
         a.data["k"] = 1
         assert b.data == {}
         assert MetricEvent("start", 0.0, "train").data == {}
+
+
+# Every converted type with a defaulted container field, and how to build one without it.
+FRESH_DEFAULTS = [
+    (CoverageTargets, "dimensions", lambda: CoverageTargets()),
+    (BenchmarkSpec, "env", lambda: BenchmarkSpec(name="b")),
+    (BenchmarkSpec, "env", lambda: BenchmarkSpec("b", 1.0, True, "single-device", "", "", "w")),
+    (SuiteScore, "contributions", lambda: SuiteScore(1.0)),
+    (RunRecord, "outcomes", lambda: RunRecord(bench="b")),
+    (RunRecord, "phase_durations", lambda: RunRecord(bench="b")),
+    (ReportRow, "cells", lambda: ReportRow(bench="b", weight=1.0)),
+    (ReportDocument, "metadata", lambda: ReportDocument(["s"], None, [], {})),
+    (MLCMatrix, "counts", lambda: MLCMatrix(classes=("A", "B"))),
+]
+
+
+class TestFreshDefaults:
+    @pytest.mark.parametrize(
+        "cls, field, make", FRESH_DEFAULTS, ids=[f"{cls.__name__}.{field}" for cls, field, _ in FRESH_DEFAULTS]
+    )
+    def test_each_instance_gets_its_own_container(self, cls, field, make):
+        a, b = make(), make()
+        assert getattr(a, field) == getattr(b, field)
+        assert getattr(a, field) is not getattr(b, field)
+
+    def test_explicit_container_is_kept(self):
+        env = {"K": "v"}
+        assert BenchmarkSpec("b", 1.0, True, "single-device", "", "", "w", env).env is env
+        assert BenchmarkSpec(name="b", env=env).env is env
+
+    def test_select_benchmarks_keeps_the_type(self, reference_suite):
+        from benchforge.suite import select_benchmarks
+
+        selected = select_benchmarks(reference_suite, "domain=NLP")
+        assert type(selected) is SuiteConfig
+        assert selected._replace(benchmarks=reference_suite.benchmarks) == reference_suite

@@ -315,7 +315,46 @@ class TestValidation:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "variable, value", [("BENCHFORGE_OBS_MIN", "x"), ("BENCHFORGE_OBS_MAX", "4.5"), ("BENCHFORGE_OBS_MAX", "")]
+    )
+    def test_cli_refuses_non_integer_budget_variables(self, variable, value, monkeypatch, capsys):
+        monkeypatch.setenv(variable, value)
+        assert main([]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"benchforge-worker: {variable} must be an integer, got {value!r}\n"
+        assert captured.out == ""
+
     def test_smallest_rate_that_fits_still_runs(self, capsys):
         # 250 batches of 32 items last 8e306 virtual seconds: large, but finite.
         assert main(["--rate", "1e-303"]) == 0
         assert capsys.readouterr().err == ""
+
+
+def rate_lines(text: str) -> int:
+    return text.count('"event":"rate"')
+
+
+class TestBudgetFromEnvironment:
+    def test_variables_set_the_defaults(self, monkeypatch, capsys):
+        monkeypatch.setenv("BENCHFORGE_OBS_MIN", "5")
+        monkeypatch.setenv("BENCHFORGE_OBS_MAX", "12")
+        assert main([]) == 0
+        assert rate_lines(capsys.readouterr().out) == 12
+
+    def test_flags_win_over_variables(self, monkeypatch, capsys):
+        monkeypatch.setenv("BENCHFORGE_OBS_MIN", "5")
+        monkeypatch.setenv("BENCHFORGE_OBS_MAX", "12")
+        assert main(["--obs-max", "8"]) == 0
+        assert rate_lines(capsys.readouterr().out) == 8
+
+    def test_a_flag_makes_its_variable_unread(self, monkeypatch, capsys):
+        monkeypatch.setenv("BENCHFORGE_OBS_MAX", "x")
+        assert main(["--obs-max", "40"]) == 0
+        assert rate_lines(capsys.readouterr().out) == 40
+
+    def test_without_variables_the_budget_is_30_to_60(self, monkeypatch, capsys):
+        monkeypatch.delenv("BENCHFORGE_OBS_MIN", raising=False)
+        monkeypatch.delenv("BENCHFORGE_OBS_MAX", raising=False)
+        assert main([]) == 0
+        assert rate_lines(capsys.readouterr().out) == 60
