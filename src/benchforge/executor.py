@@ -88,7 +88,7 @@ class ProcessPlan:
     """One resolved child-process launch."""
 
     __slots__ = (
-        "bench", "rank", "world_size", "devices", "env", "command", "timeout_s", "obs_min", "gang_id", "node",
+        "bench", "rank", "world_size", "devices", "env", "command", "timeout_s", "obs_min", "gang_id",
     )
 
     def __init__(
@@ -102,7 +102,6 @@ class ProcessPlan:
         timeout_s: float,
         obs_min: int,
         gang_id: str | None = None,
-        node: int = 0,
     ) -> None:
         self.bench = bench
         self.rank = rank
@@ -113,7 +112,6 @@ class ProcessPlan:
         self.timeout_s = timeout_s
         self.obs_min = obs_min
         self.gang_id = gang_id
-        self.node = node
 
 
 class ProcessOutcome:
@@ -130,20 +128,18 @@ class ProcessOutcome:
 
 
 class RunRecord:
-    __slots__ = ("bench", "outcomes", "phase_durations", "run_dir", "error")
+    __slots__ = ("bench", "outcomes", "phase_durations", "error")
 
     def __init__(
         self,
         bench: str,
         outcomes: list[ProcessOutcome] | None = None,
         phase_durations: dict[str, float] | None = None,
-        run_dir: Path | None = None,
         error: str | None = None,
     ) -> None:
         self.bench = bench
         self.outcomes = [] if outcomes is None else outcomes
         self.phase_durations = {} if phase_durations is None else phase_durations
-        self.run_dir = run_dir
         self.error = error
 
 
@@ -154,14 +150,22 @@ def _resolve(template: str, values: dict[str, object]) -> tuple[str, ...]:
         raise ExecutorError(f"cannot resolve command template {template!r}: {exc}") from exc
 
 
-def _phase_values(base_dir: Path, bench_dir: Path) -> dict[str, object]:
+def _placeholder_values(
+    base_dir: Path,
+    bench_dir: Path,
+    device_id: str = "",
+    device_count: int = 0,
+    rank: int = 0,
+    world_size: int = 1,
+) -> dict[str, object]:
+    """Values of the command placeholders; the defaults are those of install and prepare."""
     return {
+        "device_id": device_id,
+        "device_count": device_count,
+        "rank": rank,
+        "world_size": world_size,
         "base_dir": str(base_dir),
         "bench_dir": str(bench_dir),
-        "device_id": "",
-        "device_count": 0,
-        "rank": 0,
-        "world_size": 1,
     }
 
 
@@ -178,13 +182,10 @@ def plan_launches(
     bench_dir = base_dir / "data" / spec.name
 
     if spec.scale == "single-device":
-        chosen = [(rank, device) for rank, device in enumerate(pool.devices)]
-        world_size = len(pool.devices)
+        devices = pool.devices
         gang_id = None
     elif spec.scale == "node-devices":
-        node0 = pool.node_devices(0)
-        chosen = [(rank, device) for rank, device in enumerate(node0)]
-        world_size = len(node0)
+        devices = pool.node_devices(0)
         gang_id = f"{spec.name}:node0"
     elif spec.scale == "multi-node":
         if pool.nodes < 2:
@@ -192,30 +193,22 @@ def plan_launches(
                 f"benchmark {spec.name!r} needs scale=multi-node but pool has "
                 f"{pool.nodes} node(s): insufficient nodes"
             )
-        chosen = [(rank, device) for rank, device in enumerate(pool.devices)]
-        world_size = len(pool.devices)
+        devices = pool.devices
         gang_id = f"{spec.name}:all-nodes"
     else:
         raise ExecutorError(f"unknown scale {spec.scale!r}")
 
+    world_size = len(devices)
     plans: list[ProcessPlan] = []
-    for rank, device in chosen:
-        values = {
-            "device_id": device,
-            "device_count": 1,
-            "rank": rank,
-            "world_size": world_size,
-            "base_dir": str(base_dir),
-            "bench_dir": str(bench_dir),
-        }
-        node = pool.node_of(device)
+    for rank, device in enumerate(devices):
+        values = _placeholder_values(base_dir, bench_dir, device, 1, rank, world_size)
         env = dict(spec.env)
         env.update(
             {
                 "BENCHFORGE_DEVICE": device,
                 "BENCHFORGE_RANK": str(rank),
                 "BENCHFORGE_WORLD_SIZE": str(world_size),
-                "BENCHFORGE_NODE": str(node),
+                "BENCHFORGE_NODE": str(pool.node_of(device)),
                 "BENCHFORGE_OBS_MIN": str(spec.obs_min),
                 "BENCHFORGE_OBS_MAX": str(spec.obs_max),
             }
@@ -234,7 +227,6 @@ def plan_launches(
                 timeout_s=spec.timeout_s,
                 obs_min=spec.obs_min,
                 gang_id=gang_id,
-                node=node,
             )
         )
     return plans
@@ -502,7 +494,7 @@ def _setup_phase(
             statuses[bench.name] = "skipped"
             continue
         bench_dir.mkdir(parents=True, exist_ok=True)
-        argv = _resolve(command, _phase_values(base_dir, bench_dir))
+        argv = _resolve(command, _placeholder_values(base_dir, bench_dir))
         try:
             result = subprocess.run(
                 argv,
@@ -601,7 +593,7 @@ def run(
 def _run_bench(
     bench: BenchmarkSpec, pool: DevicePool, base_dir: Path, run_dir: Path
 ) -> RunRecord:
-    record = RunRecord(bench=bench.name, run_dir=run_dir)
+    record = RunRecord(bench=bench.name)
     bench_out = run_dir / bench.name
     started = time.monotonic()
     try:
@@ -704,7 +696,7 @@ def load_run(run_dir: Path | str) -> LoadedRun:
     records: dict[str, RunRecord] = {}
     for bench in suite.enabled_benchmarks():
         bench_dir = run_dir / bench.name
-        record = RunRecord(bench=bench.name, run_dir=run_dir)
+        record = RunRecord(bench=bench.name)
         outcomes_path = bench_dir / "outcomes.json"
         if not outcomes_path.exists():
             record.error = "no outcomes recorded"

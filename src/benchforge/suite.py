@@ -134,12 +134,15 @@ def parse_suite(text: str) -> SuiteConfig:
     """Parse a YAML suite document into a fully populated SuiteConfig.
 
     Suite defaults are applied to every per-benchmark field that the
-    document leaves absent; per-benchmark values always win.
+    document leaves absent; per-benchmark values always win. Parsing
+    decodes shape and types only; every value rule is ``validate_suite``'s,
+    and the first violation it reports is raised.
 
     Raises:
-        SuiteError: on YAML syntax errors (position reported), unknown
-            keys, unknown scale modes, duplicate names, or a missing or
-            empty ``run_cmd``.
+        SuiteError: on YAML syntax errors (position reported), a part that
+            is not a mapping or list, unknown keys, wrongly typed or
+            non-finite values, a missing name, duplicate names, unknown
+            command placeholders, or a ``validate_suite`` violation.
     """
     try:
         raw = yaml.load(text, Loader=_Loader)
@@ -150,7 +153,8 @@ def parse_suite(text: str) -> SuiteConfig:
     if not isinstance(raw, dict):
         raise SuiteError("suite document must be a mapping")
 
-    _check_keys(raw, {"suite", "defaults", "targets", "benchmarks"}, "top level")
+    # The document names SuiteConfig.suite_name ``suite``.
+    _check_keys(raw, ("suite", *SuiteConfig._fields[1:]), "top level")
 
     suite_name = raw.get("suite", "unnamed")
     if not isinstance(suite_name, str) or not suite_name.strip():
@@ -159,9 +163,7 @@ def parse_suite(text: str) -> SuiteConfig:
     defaults = _parse_defaults(raw.get("defaults"))
     targets = _parse_targets(raw.get("targets"))
 
-    raw_benchmarks = raw.get("benchmarks")
-    if not raw_benchmarks:
-        raise SuiteError("suite must declare at least one benchmark")
+    raw_benchmarks = raw.get("benchmarks") or []
     if not isinstance(raw_benchmarks, list):
         raise SuiteError("'benchmarks' must be a list")
 
@@ -174,12 +176,16 @@ def parse_suite(text: str) -> SuiteConfig:
         seen.add(bench.name)
         benchmarks.append(bench)
 
-    return SuiteConfig(
+    cfg = SuiteConfig(
         suite_name=suite_name.strip(),
         benchmarks=tuple(benchmarks),
         defaults=defaults,
         targets=targets,
     )
+    violations = validate_suite(cfg)
+    if violations:
+        raise SuiteError(violations[0])
+    return cfg
 
 
 def load_suite(path: Any) -> SuiteConfig:
@@ -191,31 +197,27 @@ def validate_suite(cfg: SuiteConfig) -> list[str]:
     """Check every suite invariant; return one description per violation.
 
     Violations are data, not failures: an empty list means the suite is
-    valid. Each entry names the offending benchmark and field.
+    valid. Each entry names the offending benchmark and field. This is
+    the one home of the suite's value rules; ``parse_suite`` raises the
+    first violation.
     """
     violations: list[str] = []
     if not cfg.benchmarks:
         violations.append("suite: at least one benchmark required")
+    violations.extend(_entry_violations("defaults", cfg.defaults))
     for bench in cfg.benchmarks:
         where = f"benchmark {bench.name!r}"
         if not math.isfinite(bench.weight):
             violations.append(f"{where}: weight must be finite, got {bench.weight}")
         elif bench.weight < 0:
             violations.append(f"{where}: weight must be >= 0, got {bench.weight}")
-        if bench.obs_min <= 0:
-            violations.append(f"{where}: obs_min must be positive, got {bench.obs_min}")
-        if bench.obs_min > bench.obs_max:
-            violations.append(
-                f"{where}: obs_min <= obs_max required, got {bench.obs_min} > {bench.obs_max}"
-            )
+        violations.extend(_entry_violations(where, bench))
         if not bench.run_cmd.strip():
             violations.append(f"{where}: run_cmd must be non-empty")
+        if not bench.unit_of_work:
+            violations.append(f"{where}: unit_of_work must be non-empty")
         if bench.scale not in SCALE_MODES:
             violations.append(f"{where}: scale must be one of {SCALE_MODES}, got {bench.scale!r}")
-        if not math.isfinite(bench.timeout_s):
-            violations.append(f"{where}: timeout_s must be finite, got {bench.timeout_s}")
-        elif bench.timeout_s <= 0:
-            violations.append(f"{where}: timeout_s must be positive, got {bench.timeout_s}")
     enabled_weight = sum(b.weight for b in cfg.benchmarks if b.enabled)
     if cfg.benchmarks and enabled_weight <= 0:
         violations.append("suite: total weight of enabled benchmarks must be > 0")
@@ -224,14 +226,31 @@ def validate_suite(cfg: SuiteConfig) -> list[str]:
     return violations
 
 
-def _validate_targets(targets: CoverageTargets) -> list[str]:
+def _entry_violations(where: str, entry: BenchmarkDefaults | BenchmarkSpec) -> list[str]:
+    """The rules the suite defaults share with each benchmark: observation budget and timeout."""
     violations: list[str] = []
-    for dim, columns in targets.dimensions.items():
-        for col, prop in columns.items():
+    if entry.obs_min <= 0:
+        violations.append(f"{where}: obs_min must be positive, got {entry.obs_min}")
+    if entry.obs_min > entry.obs_max:
+        violations.append(
+            f"{where}: obs_min <= obs_max required, got {entry.obs_min} > {entry.obs_max}"
+        )
+    if not math.isfinite(entry.timeout_s):
+        violations.append(f"{where}: timeout_s must be finite, got {entry.timeout_s}")
+    elif entry.timeout_s <= 0:
+        violations.append(f"{where}: timeout_s must be positive, got {entry.timeout_s}")
+    return violations
+
+
+def _validate_targets(targets: CoverageTargets) -> list[str]:
+    # Sorted, the order render_suite writes, so a reparsed suite reports the same first violation.
+    violations: list[str] = []
+    for dim, columns in sorted(targets.dimensions.items()):
+        for col, prop in sorted(columns.items()):
             if not 0.0 <= prop <= 1.0:
                 violations.append(f"targets.{dim}.{col}: proportion must be in [0,1], got {prop}")
         if dim == "model_sizes" and columns:
-            total = sum(columns.values())
+            total = math.fsum(columns.values())  # exactly rounded, so independent of column order
             if abs(total - 1.0) > 1e-9:
                 violations.append(
                     f"targets.model_sizes: proportions must sum to 1, got {total!r}"
@@ -351,7 +370,7 @@ def _render_benchmark(bench: BenchmarkSpec) -> dict[str, Any]:
     return out
 
 
-def _check_keys(raw: dict[str, Any], allowed: set[str], context: str) -> None:
+def _check_keys(raw: dict[str, Any], allowed: tuple[str, ...], context: str) -> None:
     for key in raw:
         if key not in allowed:
             raise SuiteError(
@@ -364,13 +383,12 @@ def _parse_defaults(raw: Any) -> BenchmarkDefaults:
         return BenchmarkDefaults()
     if not isinstance(raw, dict):
         raise SuiteError("'defaults' must be a mapping")
-    _check_keys(raw, {"obs_min", "obs_max", "timeout_s"}, "defaults")
-    obs_min = _int_field(raw, "obs_min", "defaults", DEFAULT_OBS_MIN, minimum=1)
-    obs_max = _int_field(raw, "obs_max", "defaults", DEFAULT_OBS_MAX, minimum=1)
-    timeout_s = _number_field(raw, "timeout_s", "defaults", DEFAULT_TIMEOUT_S)
-    if obs_min > obs_max:
-        raise SuiteError(f"defaults: obs_min <= obs_max required, got {obs_min} > {obs_max}")
-    return BenchmarkDefaults(obs_min=obs_min, obs_max=obs_max, timeout_s=timeout_s)
+    _check_keys(raw, BenchmarkDefaults._fields, "defaults")
+    return BenchmarkDefaults(
+        obs_min=_int_field(raw, "obs_min", "defaults", DEFAULT_OBS_MIN),
+        obs_max=_int_field(raw, "obs_max", "defaults", DEFAULT_OBS_MAX),
+        timeout_s=_number_field(raw, "timeout_s", "defaults", DEFAULT_TIMEOUT_S),
+    )
 
 
 def _parse_targets(raw: Any) -> CoverageTargets | None:
@@ -378,7 +396,7 @@ def _parse_targets(raw: Any) -> CoverageTargets | None:
         return None
     if not isinstance(raw, dict):
         raise SuiteError("'targets' must be a mapping")
-    _check_keys(raw, set(TAG_DIMENSIONS), "targets")
+    _check_keys(raw, TAG_DIMENSIONS, "targets")
     dimensions: dict[str, dict[str, float]] = {}
     for dim, columns in raw.items():
         if not isinstance(columns, dict):
@@ -387,39 +405,16 @@ def _parse_targets(raw: Any) -> CoverageTargets | None:
         for col, prop in columns.items():
             if isinstance(prop, bool) or not isinstance(prop, (int, float)):
                 raise SuiteError(f"targets.{dim}.{col}: proportion must be a number")
-            if not 0.0 <= float(prop) <= 1.0:
-                raise SuiteError(f"targets.{dim}.{col}: proportion must be in [0,1], got {prop}")
             parsed[str(col)] = float(prop)
         dimensions[dim] = parsed
-    if "model_sizes" in dimensions and dimensions["model_sizes"]:
-        total = sum(dimensions["model_sizes"].values())
-        if abs(total - 1.0) > 1e-9:
-            raise SuiteError(f"targets.model_sizes: proportions must sum to 1, got {total!r}")
     return CoverageTargets(dimensions=dimensions)
-
-
-_BENCH_KEYS = {
-    "name",
-    "weight",
-    "enabled",
-    "scale",
-    "install_cmd",
-    "prepare_cmd",
-    "run_cmd",
-    "env",
-    "unit_of_work",
-    "obs_min",
-    "obs_max",
-    "timeout_s",
-    "tags",
-}
 
 
 def _parse_benchmark(item: Any, index: int, defaults: BenchmarkDefaults) -> BenchmarkSpec:
     context = f"benchmarks[{index}]"
     if not isinstance(item, dict):
         raise SuiteError(f"{context}: must be a mapping")
-    _check_keys(item, _BENCH_KEYS, context)
+    _check_keys(item, BenchmarkSpec._fields, context)
 
     name = item.get("name")
     if not isinstance(name, str) or not name.strip():
@@ -427,59 +422,31 @@ def _parse_benchmark(item: Any, index: int, defaults: BenchmarkDefaults) -> Benc
     name = name.strip()
     context = f"benchmarks[{index}] ({name})"
 
-    run_cmd = item.get("run_cmd")
-    if not isinstance(run_cmd, str) or not run_cmd.strip():
-        raise SuiteError(f"{context}: missing run_cmd")
-
-    scale = item.get("scale", "single-device")
-    if scale not in SCALE_MODES:
-        raise SuiteError(f"{context}: unknown scale mode {scale!r}; expected one of {SCALE_MODES}")
-
-    weight = _number_field(item, "weight", context, 1.0, minimum=0.0)
     enabled = item.get("enabled", True)
     if not isinstance(enabled, bool):
         raise SuiteError(f"{context}: 'enabled' must be a boolean")
 
-    obs_min = _int_field(item, "obs_min", context, defaults.obs_min, minimum=1)
-    obs_max = _int_field(item, "obs_max", context, defaults.obs_max, minimum=1)
-    if obs_min > obs_max:
-        raise SuiteError(f"{context}: obs_min <= obs_max required, got {obs_min} > {obs_max}")
-    timeout_s = _number_field(item, "timeout_s", context, defaults.timeout_s)
-    if timeout_s <= 0:
-        raise SuiteError(f"{context}: timeout_s must be positive")
-
     env_raw = item.get("env") or {}
     if not isinstance(env_raw, dict):
         raise SuiteError(f"{context}: 'env' must be a mapping")
-    env = {str(k): str(v) for k, v in env_raw.items()}
 
-    unit_of_work = item.get("unit_of_work", "items")
-    if not isinstance(unit_of_work, str) or not unit_of_work:
-        raise SuiteError(f"{context}: 'unit_of_work' must be a non-empty string")
-
-    _check_command_template(run_cmd, f"{context}.run_cmd")
-    install_cmd = item.get("install_cmd", "")
-    prepare_cmd = item.get("prepare_cmd", "")
-    for label, cmd in (("install_cmd", install_cmd), ("prepare_cmd", prepare_cmd)):
-        if not isinstance(cmd, str):
-            raise SuiteError(f"{context}: '{label}' must be a string")
-        if cmd:
-            _check_command_template(cmd, f"{context}.{label}")
+    commands: dict[str, str] = {}
+    for key in ("install_cmd", "prepare_cmd", "run_cmd"):
+        commands[key] = _str_field(item, key, context, "")
+        _check_command_template(commands[key], f"{context}.{key}")
 
     return BenchmarkSpec(
         name=name,
-        weight=weight,
+        weight=_number_field(item, "weight", context, 1.0),
         enabled=enabled,
-        scale=scale,
-        install_cmd=install_cmd,
-        prepare_cmd=prepare_cmd,
-        run_cmd=run_cmd,
-        env=env,
-        unit_of_work=unit_of_work,
-        obs_min=obs_min,
-        obs_max=obs_max,
-        timeout_s=float(timeout_s),
+        scale=_str_field(item, "scale", context, "single-device"),
+        env={str(k): str(v) for k, v in env_raw.items()},
+        unit_of_work=_str_field(item, "unit_of_work", context, "items"),
+        obs_min=_int_field(item, "obs_min", context, defaults.obs_min),
+        obs_max=_int_field(item, "obs_max", context, defaults.obs_max),
+        timeout_s=_number_field(item, "timeout_s", context, defaults.timeout_s),
         tags=_parse_tags(item.get("tags"), context),
+        **commands,
     )
 
 
@@ -488,11 +455,7 @@ def _parse_tags(raw: Any, context: str) -> TaxonomyTags | None:
         return None
     if not isinstance(raw, dict):
         raise SuiteError(f"{context}: 'tags' must be a mapping")
-    _check_keys(
-        raw,
-        {"domains", "architectures", "model_size_class", "parallelism", "libraries"},
-        f"{context}.tags",
-    )
+    _check_keys(raw, TaxonomyTags._fields, f"{context}.tags")
     size = raw.get("model_size_class", "")
     if not isinstance(size, str):
         raise SuiteError(f"{context}.tags.model_size_class: must be a single text label")
@@ -533,23 +496,25 @@ class _PlaceholderCheck(dict):
         raise KeyError(key)
 
 
-def _int_field(raw: dict[str, Any], key: str, context: str, default: int, minimum: int) -> int:
+def _int_field(raw: dict[str, Any], key: str, context: str, default: int) -> int:
     value = raw.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise SuiteError(f"{context}: '{key}' must be an integer")
-    if value < minimum:
-        raise SuiteError(f"{context}: '{key}' must be >= {minimum}, got {value}")
     return value
 
 
-def _number_field(
-    raw: dict[str, Any], key: str, context: str, default: float, minimum: float | None = None
-) -> float:
+def _number_field(raw: dict[str, Any], key: str, context: str, default: float) -> float:
     value = raw.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SuiteError(f"{context}: '{key}' must be a number")
+    # Also a rule of validate_suite, for configs built in code; here YAML's .nan and .inf stop.
     if not math.isfinite(value):
         raise SuiteError(f"{context}: '{key}' must be a finite number, got {value}")
-    if minimum is not None and value < minimum:
-        raise SuiteError(f"{context}: '{key}' must be >= {minimum}, got {value}")
     return float(value)
+
+
+def _str_field(raw: dict[str, Any], key: str, context: str, default: str) -> str:
+    value = raw.get(key, default)
+    if not isinstance(value, str):
+        raise SuiteError(f"{context}: '{key}' must be a string")
+    return value

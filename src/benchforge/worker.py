@@ -130,14 +130,12 @@ class EventSink:
 
 
 class LineSink(EventSink):
-    """Writes each event as one protocol line. Writes are line-atomic."""
+    """Writes each event as one protocol line, and keeps none. Writes are line-atomic."""
 
     def __init__(self, fp) -> None:
-        super().__init__()
         self._fp = fp
 
     def emit(self, event: MetricEvent) -> None:
-        super().emit(event)
         self._fp.write(encode_event(event))
         self._fp.flush()
 
@@ -269,14 +267,9 @@ def timed_iterate(
     (obs_max + 1)-th batch is never started. Rate lines appear in the
     stream only at epoch flushes.
     """
-    if isinstance(workload, WorkloadSpec):
-        if workload.kind == "multiworker":
-            return _iterate_multiworker(workload, cfg, sink, seed=seed)
-        behavior = synthetic_workload(workload, seed)
-    else:
-        behavior = workload
-        if behavior.spec.kind == "multiworker":
-            return _iterate_multiworker(behavior.spec, cfg, sink, seed=behavior.seed)
+    behavior = synthetic_workload(workload, seed) if isinstance(workload, WorkloadSpec) else workload
+    if behavior.spec.kind == "multiworker":
+        return _iterate_multiworker(behavior.spec, cfg, sink, seed=behavior.seed)
 
     clock = VirtualClock()
     log = ObservationLog(process_id=task)
@@ -370,16 +363,7 @@ def _iterate_multiworker(
     deterministic. Terminal events are emitted once, by the supervisor
     task, never by the workers.
     """
-    single = WorkloadSpec(
-        kind="jitter" if spec.jitter_frac > 0 else "constant",
-        batch_size=spec.batch_size,
-        base_rate=spec.base_rate,
-        jitter_frac=spec.jitter_frac,
-        crash_after=spec.crash_after,
-        batches_per_epoch=spec.batches_per_epoch,
-        units=spec.units,
-        sleep_per_batch=spec.sleep_per_batch,
-    )
+    single = spec._replace(kind="jitter" if spec.jitter_frac > 0 else "constant", workers=1)
     merged = ObservationLog(process_id="main")
     worker_events: list[MetricEvent] = []
     all_ok = True

@@ -253,6 +253,17 @@ class TestSelectAndErrors:
         assert (run_dir / "fast").exists()
         assert not (run_dir / "slow").exists()
 
+    def test_zero_enabled_weight_run_is_config_error(self, tmp_path, capsys):
+        suite = tmp_path / "zero.yaml"
+        suite.write_text(SMALL_SUITE.replace("weight: 1", "weight: 0"))
+        base = tmp_path / "w"
+        rc = main(["run", "--config", str(suite), "--base-dir", str(base), "--no-setup-check"])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.err == "benchforge: suite: total weight of enabled benchmarks must be > 0\n"
+        assert captured.out == ""
+        assert not (base / "runs").exists()
+
     def test_broken_yaml_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("suite: [oops\n")

@@ -9,14 +9,13 @@ import pytest
 from benchforge.aggregate import BenchResult
 from benchforge.report import (
     ReportError,
-    document_from_csv,
     humanize,
-    parse_humanized,
     render_csv,
     render_json,
     render_report,
     render_text,
 )
+from report_readback import document_from_csv, parse_humanized
 
 
 def results_for(perfs: dict[str, float | None], weights: dict[str, float] | None = None):

@@ -4,10 +4,16 @@ import random
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchforge import suite as suite_module
 from benchforge.suite import (
+    SCALE_MODES,
+    TAG_DIMENSIONS,
+    BenchmarkDefaults,
     BenchmarkSpec,
+    CoverageTargets,
     SuiteConfig,
     SuiteError,
     TaxonomyTags,
@@ -152,6 +158,64 @@ class TestValidate:
         )
         assert any("total weight" in v for v in validate_suite(bad))
 
+    @pytest.mark.parametrize(
+        "defaults, expected",
+        [
+            (BenchmarkDefaults(obs_min=0), "defaults: obs_min must be positive, got 0"),
+            (BenchmarkDefaults(obs_min=8, obs_max=5), "defaults: obs_min <= obs_max required, got 8 > 5"),
+            (BenchmarkDefaults(timeout_s=0.0), "defaults: timeout_s must be positive, got 0.0"),
+            (BenchmarkDefaults(timeout_s=float("inf")), "defaults: timeout_s must be finite, got inf"),
+        ],
+    )
+    def test_bad_defaults_flagged(self, defaults, expected):
+        # Every benchmark sets its own valid values, so only the defaults are wrong.
+        bad = SuiteConfig(
+            suite_name="s",
+            benchmarks=(BenchmarkSpec(name="a", run_cmd="w"),),
+            defaults=defaults,
+        )
+        assert validate_suite(bad) == [expected]
+
+    def test_targets_report_in_rendered_order(self):
+        # render_suite sorts dimensions and columns; the first violation must not depend on dict order.
+        cfg = SuiteConfig(
+            suite_name="s",
+            benchmarks=(BenchmarkSpec(name="a", run_cmd="w"),),
+            targets=CoverageTargets({"libraries": {"z": 1.5, "a": -0.5}, "domains": {"b": 2.0}}),
+        )
+        assert validate_suite(cfg) == [
+            "targets.domains.b: proportion must be in [0,1], got 2.0",
+            "targets.libraries.a: proportion must be in [0,1], got -0.5",
+            "targets.libraries.z: proportion must be in [0,1], got 1.5",
+        ]
+        with pytest.raises(SuiteError) as err:
+            parse_suite(render_suite(cfg))
+        assert str(err.value) == validate_suite(cfg)[0]
+
+    @pytest.mark.parametrize(
+        "document, expected",
+        [
+            ("defaults: {obs_min: 0}", "defaults: obs_min must be positive, got 0"),
+            ("defaults: {obs_min: 8, obs_max: 5}", "defaults: obs_min <= obs_max required, got 8 > 5"),
+            ("defaults: {timeout_s: 0}", "defaults: timeout_s must be positive, got 0.0"),
+            (
+                "benchmarks:\n  - {name: a, run_cmd: w, weight: 0}",
+                "suite: total weight of enabled benchmarks must be > 0",
+            ),
+            ("benchmarks:\n  - {name: a, run_cmd: w, obs_min: 0}", "benchmark 'a': obs_min must be positive, got 0"),
+            ("benchmarks:\n  - {name: a, run_cmd: w, weight: -1}", "benchmark 'a': weight must be >= 0, got -1.0"),
+            ("benchmarks:\n  - {name: a, run_cmd: w, unit_of_work: ''}", "benchmark 'a': unit_of_work must be non-empty"),
+            ("targets: {domains: {NLP: 1.5}}", "targets.domains.NLP: proportion must be in [0,1], got 1.5"),
+        ],
+    )
+    def test_parse_raises_the_validate_violation(self, document, expected):
+        text = "suite: s\n" + document + "\n"
+        if "benchmarks:" not in document:
+            text += "benchmarks:\n  - {name: a, run_cmd: w}\n"
+        with pytest.raises(SuiteError) as err:
+            parse_suite(text)
+        assert str(err.value) == expected
+
 
 class TestSelect:
     def test_star_is_identity(self, reference_suite):
@@ -215,6 +279,7 @@ class TestRoundTrip:
     def test_randomized_suites_round_trip(self):
         rng = random.Random(42)
         sizes = ["XS", "S", "M", "L", "XL"]
+        refused = []
         for trial in range(25):
             benches = []
             for i in range(rng.randint(1, 8)):
@@ -244,6 +309,26 @@ class TestRoundTrip:
                     )
                 )
             cfg = SuiteConfig(suite_name=f"fuzz-{trial}", benchmarks=tuple(benches))
+            violations = validate_suite(cfg)
+            if violations:
+                with pytest.raises(SuiteError) as err:
+                    parse_suite(render_suite(cfg))
+                assert str(err.value) == violations[0]
+                refused.append(trial)
+            else:
+                assert parse_suite(render_suite(cfg)) == cfg
+        # Trial 21 enables only weight-0 benchmarks; every other trial round-trips.
+        assert refused == [21]
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=st.deferred(lambda: _suites))
+    def test_parse_accepts_exactly_what_validate_accepts(self, cfg):
+        violations = validate_suite(cfg)
+        if violations:
+            with pytest.raises(SuiteError) as err:
+                parse_suite(render_suite(cfg))
+            assert str(err.value) == violations[0]
+        else:
             assert parse_suite(render_suite(cfg)) == cfg
 
     def test_sha256_stable_across_renders(self, reference_suite):
@@ -252,6 +337,55 @@ class TestRoundTrip:
     def test_reference_suite_hash_is_pinned(self, reference_suite):
         # Stored runs are matched by this hash; a rendering change would orphan them.
         assert reference_suite.sha256() == "309fa8ef850feb85160581e4f55f33282e7aa7632f92d7a6e67873455a3723e1"
+
+
+# Suites of valid shape (types, names, placeholders) whose values stray
+# over and past every rule of validate_suite. Numbers are finite: parsing
+# refuses a YAML .nan or .inf with its own message, pinned in TestParse.
+_words = st.text(alphabet="abcxyz019-_", min_size=1, max_size=6)
+_labels = st.frozensets(st.sampled_from(["NLP", "CV", "RL", "torch", "jax"]), max_size=3)
+_counts = st.integers(min_value=-2, max_value=80)
+_reals = st.floats(allow_nan=False, allow_infinity=False)
+_weights = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2]) | _reals
+_timeouts = st.sampled_from([-1.0, 0.0, 1, 300.0]) | _reals
+_proportions = st.sampled_from([-0.1, 0.0, 0.1, 0.2, 0.25, 0.5, 0.7, 1.0, 1.5])
+_tags = st.builds(
+    TaxonomyTags,
+    domains=_labels,
+    architectures=_labels,
+    model_size_class=st.sampled_from(["", "S", "XL"]),
+    parallelism=_labels,
+    libraries=_labels,
+)
+_benchmarks = st.builds(
+    BenchmarkSpec,
+    name=_words,
+    weight=_weights,
+    enabled=st.booleans(),
+    scale=st.sampled_from(SCALE_MODES + ("warp",)),
+    install_cmd=st.sampled_from(["", "true", "setup {bench_dir}"]),
+    prepare_cmd=st.sampled_from(["", "fetch {base_dir}"]),
+    run_cmd=st.sampled_from(["w", "worker --seed {rank} {device_id}", "", "  "]),
+    env=st.dictionaries(_words, _words, max_size=2),
+    unit_of_work=st.sampled_from(["items", "tokens", ""]),
+    obs_min=_counts,
+    obs_max=_counts,
+    timeout_s=_timeouts,
+    tags=st.none() | _tags,
+)
+_suites = st.builds(
+    SuiteConfig,
+    suite_name=_words,
+    benchmarks=st.lists(_benchmarks, max_size=4, unique_by=lambda b: b.name).map(tuple),
+    defaults=st.builds(BenchmarkDefaults, obs_min=_counts, obs_max=_counts, timeout_s=_timeouts),
+    targets=st.none()
+    | st.builds(
+        CoverageTargets,
+        st.dictionaries(
+            st.sampled_from(TAG_DIMENSIONS), st.dictionaries(_words, _proportions, max_size=3), max_size=3
+        ),
+    ),
+)
 
 
 def _e2e_suite_text() -> str:
