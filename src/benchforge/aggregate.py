@@ -27,8 +27,6 @@ class _BenchResultFields(NamedTuple):
     weight: float
     perf: float  # units of work per second; 0 when nothing succeeded
     success_rate: float
-    n_processes: int = 0
-    per_process_rates: tuple[float | None, ...] = ()
 
 
 class BenchResult(_BenchResultFields):
@@ -36,22 +34,14 @@ class BenchResult(_BenchResultFields):
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        bench: str,
-        weight: float,
-        perf: float,
-        success_rate: float,
-        n_processes: int = 0,
-        per_process_rates: tuple[float | None, ...] = (),
-    ):
+    def __new__(cls, bench: str, weight: float, perf: float, success_rate: float):
         if not 0.0 <= success_rate <= 1.0:
             raise AggregateError(f"{bench}: success_rate must be in [0,1]")
         if not math.isfinite(perf):
             raise AggregateError(f"{bench}: perf must be finite")
         if perf < 0:
             raise AggregateError(f"{bench}: perf must be >= 0")
-        return super().__new__(cls, bench, weight, perf, success_rate, n_processes, per_process_rates)
+        return super().__new__(cls, bench, weight, perf, success_rate)
 
 
 class _SuiteScoreFields(NamedTuple):
@@ -128,19 +118,19 @@ def fold_outcomes(
         raise AggregateError(f"{bench}: rate/success lists disagree in length")
     n = len(process_success)
     if n == 0:
-        return BenchResult(bench, weight, 0.0, 0.0, 0, ())
+        return BenchResult(bench, weight, 0.0, 0.0)
 
     if scale == "single-device":
         good = [r for r, ok in zip(process_rates, process_success) if ok and r is not None]
         perf = sum(good) / len(good) if good else 0.0
         s = sum(1 for ok in process_success if ok) / n
-        return BenchResult(bench, weight, perf, s, n, tuple(process_rates))
+        return BenchResult(bench, weight, perf, s)
 
     gang_ok = all(process_success) and all(r is not None for r in process_rates)
     if gang_ok:
         perf = sum(r for r in process_rates if r is not None)
-        return BenchResult(bench, weight, perf, 1.0, n, tuple(process_rates))
-    return BenchResult(bench, weight, 0.0, 0.0, n, tuple(process_rates))
+        return BenchResult(bench, weight, perf, 1.0)
+    return BenchResult(bench, weight, 0.0, 0.0)
 
 
 def suite_score(results: list[BenchResult]) -> SuiteScore:

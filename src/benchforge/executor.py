@@ -28,7 +28,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .protocol import (
     CHUNK_BYTES,
@@ -40,7 +40,7 @@ from .protocol import (
     StreamDecoder,
     StreamItem,
 )
-from .suite import BenchmarkSpec, SuiteConfig, render_suite, text_sha256
+from .suite import BenchmarkSpec, SuiteConfig, SuiteError, render_suite, text_sha256, validate_suite
 
 INSTALL_STAMP = ".installed"
 PREPARE_STAMP = ".prepared"
@@ -84,34 +84,18 @@ class DevicePool:
         return tuple(d for d in self.devices if self._node[d] == node)
 
 
-class ProcessPlan:
-    """One resolved child-process launch."""
+class ProcessPlan(NamedTuple):
+    """One resolved child-process launch, on one device."""
 
-    __slots__ = (
-        "bench", "rank", "world_size", "devices", "env", "command", "timeout_s", "obs_min", "gang_id",
-    )
-
-    def __init__(
-        self,
-        bench: str,
-        rank: int,
-        world_size: int,
-        devices: tuple[str, ...],
-        env: dict[str, str],
-        command: tuple[str, ...],
-        timeout_s: float,
-        obs_min: int,
-        gang_id: str | None = None,
-    ) -> None:
-        self.bench = bench
-        self.rank = rank
-        self.world_size = world_size
-        self.devices = devices
-        self.env = env
-        self.command = command
-        self.timeout_s = timeout_s
-        self.obs_min = obs_min
-        self.gang_id = gang_id
+    bench: str
+    rank: int
+    world_size: int
+    device: str
+    env: dict[str, str]
+    command: tuple[str, ...]
+    timeout_s: float
+    obs_min: int
+    gang_id: str | None = None
 
 
 class ProcessOutcome:
@@ -221,7 +205,7 @@ def plan_launches(
                 bench=spec.name,
                 rank=rank,
                 world_size=world_size,
-                devices=(device,),
+                device=device,
                 env=env,
                 command=_resolve(spec.run_cmd, values),
                 timeout_s=spec.timeout_s,
@@ -279,7 +263,7 @@ class LogFold:
                     continue
                 # Both fields are checked positive above, all Observation.__new__ would check.
                 warmup = bool(data.get("warmup", False))
-                observations.append(tuple.__new__(Observation, (work, elapsed, None, warmup, item.task)))
+                observations.append(tuple.__new__(Observation, (work, elapsed, warmup, item.task)))
             elif kind in TERMINAL_KINDS and self._terminal is None:
                 self._terminal = kind
                 if kind == "error":
@@ -361,7 +345,7 @@ def log_from_sidecar(data: bytes, sha256: str, size: int, process_id: str) -> Ob
         # Every stored observation passed the fold's checks, all Observation.__new__ would check.
         new = tuple.__new__
         observations = [
-            new(Observation, (w, e, None, u == 1, tasks[t])) for w, e, u, t in zip(work, elapsed, warmup, index)
+            new(Observation, (w, e, u == 1, tasks[t])) for w, e, u, t in zip(work, elapsed, warmup, index)
         ]
         log = ObservationLog(process_id, observations, header["terminal"], header["faults"], header["message"])
         log.rejected, log.rejection_reasons = header["rejected"], header["rejection_reasons"]
@@ -460,39 +444,43 @@ def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
     return ProcessOutcome(plan, log, exit_code, duration, classified)
 
 
+# Setup phases in order: the directory under base_dir, the stamp file, and the
+# BenchmarkSpec field that holds the phase's command.
+_PHASES = {
+    "install": ("envs", INSTALL_STAMP, "install_cmd"),
+    "prepare": ("data", PREPARE_STAMP, "prepare_cmd"),
+}
+
+
 def _stamp_token(command: str) -> str:
     return hashlib.sha256(command.encode("utf-8")).hexdigest()
 
 
-def _stamp_ok(stamp_path: Path, command: str) -> bool:
-    return stamp_path.exists() and stamp_path.read_text() == _stamp_token(command)
+def _pending(bench: BenchmarkSpec, base_dir: Path, phase: str) -> bool:
+    """Whether ``phase`` has a command for ``bench`` whose stamp is missing or stale."""
+    subdir, stamp_name, field = _PHASES[phase]
+    command = getattr(bench, field)
+    stamp = base_dir / subdir / bench.name / stamp_name
+    return bool(command) and not (stamp.exists() and stamp.read_text() == _stamp_token(command))
 
 
-def _setup_phase(
-    cfg: SuiteConfig,
-    base_dir: Path,
-    *,
-    subdir: str,
-    stamp_name: str,
-    command_of,
-    requires_install: bool = False,
-) -> dict[str, str]:
-    base_dir = Path(base_dir)
+def _setup_phase(cfg: SuiteConfig, base_dir: Path, phase: str) -> dict[str, str]:
+    subdir, stamp_name, field = _PHASES[phase]
+    earlier = list(_PHASES)[: list(_PHASES).index(phase)]
     statuses: dict[str, str] = {}
     for bench in cfg.enabled_benchmarks():
-        command = command_of(bench)
-        bench_dir = base_dir / subdir / bench.name
+        command = getattr(bench, field)
         if not command:
             statuses[bench.name] = "not-required"
             continue
-        if requires_install and bench.install_cmd:
-            if not _stamp_ok(base_dir / "envs" / bench.name / INSTALL_STAMP, bench.install_cmd):
-                statuses[bench.name] = "blocked: install incomplete"
-                continue
-        stamp = bench_dir / stamp_name
-        if _stamp_ok(stamp, command):
+        blocker = next((p for p in earlier if _pending(bench, base_dir, p)), None)
+        if blocker is not None:
+            statuses[bench.name] = f"blocked: {blocker} incomplete"
+            continue
+        if not _pending(bench, base_dir, phase):
             statuses[bench.name] = "skipped"
             continue
+        bench_dir = base_dir / subdir / bench.name
         bench_dir.mkdir(parents=True, exist_ok=True)
         argv = _resolve(command, _placeholder_values(base_dir, bench_dir))
         try:
@@ -506,7 +494,7 @@ def _setup_phase(
         except (OSError, subprocess.TimeoutExpired):
             ok = False
         if ok:
-            stamp.write_text(_stamp_token(command))
+            (bench_dir / stamp_name).write_text(_stamp_token(command))
             statuses[bench.name] = "done"
         else:
             statuses[bench.name] = "failed"
@@ -519,35 +507,20 @@ def install(cfg: SuiteConfig, base_dir: Path | str) -> dict[str, str]:
     Idempotent: a matching stamp file skips the command entirely. One
     failure never blocks the other benchmarks.
     """
-    return _setup_phase(
-        cfg,
-        Path(base_dir),
-        subdir="envs",
-        stamp_name=INSTALL_STAMP,
-        command_of=lambda b: b.install_cmd,
-    )
+    return _setup_phase(cfg, Path(base_dir), "install")
 
 
 def prepare(cfg: SuiteConfig, base_dir: Path | str) -> dict[str, str]:
     """Run each enabled benchmark's prepare command in its data dir."""
-    return _setup_phase(
-        cfg,
-        Path(base_dir),
-        subdir="data",
-        stamp_name=PREPARE_STAMP,
-        command_of=lambda b: b.prepare_cmd,
-        requires_install=True,
-    )
+    return _setup_phase(cfg, Path(base_dir), "prepare")
 
 
 def _setup_complete(bench: BenchmarkSpec, base_dir: Path) -> str | None:
-    install_stamp = base_dir / "envs" / bench.name / INSTALL_STAMP
-    if bench.install_cmd and not _stamp_ok(install_stamp, bench.install_cmd):
-        return f"benchmark {bench.name!r}: install not completed (run `benchforge install`)"
-    prepare_stamp = base_dir / "data" / bench.name / PREPARE_STAMP
-    if bench.prepare_cmd and not _stamp_ok(prepare_stamp, bench.prepare_cmd):
-        return f"benchmark {bench.name!r}: prepare not completed (run `benchforge prepare`)"
-    return None
+    """Why ``bench`` cannot run yet: its first pending phase, or None."""
+    phase = next((p for p in _PHASES if _pending(bench, base_dir, p)), None)
+    if phase is None:
+        return None
+    return f"benchmark {bench.name!r}: {phase} not completed (run `benchforge {phase}`)"
 
 
 def run(
@@ -562,8 +535,14 @@ def run(
 
     A benchmark failure never aborts the suite; it is recorded and the
     run continues. Returns the run directory and one RunRecord per
-    enabled benchmark, in suite order.
+    enabled benchmark, in suite order. A suite that breaks a rule of
+    ``validate_suite`` (a selection of unweighted benchmarks, say) raises
+    SuiteError before the run directory exists: ``load_run`` would refuse
+    the ``suite.yaml`` written there.
     """
+    violations = validate_suite(cfg)
+    if violations:
+        raise SuiteError(violations[0])
     base_dir = Path(base_dir)
     if check_setup:
         for bench in cfg.enabled_benchmarks():
@@ -630,7 +609,7 @@ def _write_outcomes(bench_out: Path, record: RunRecord) -> None:
     rows = [
         {
             "rank": o.plan.rank,
-            "devices": list(o.plan.devices),
+            "devices": [o.plan.device],
             "gang_id": o.plan.gang_id,
             "exit_code": o.exit_code,
             "duration_s": o.duration_s,
@@ -663,16 +642,12 @@ def _new_run_dir(base_dir: Path) -> Path:
     return candidate
 
 
-class LoadedRun:
+class LoadedRun(NamedTuple):
     """A run directory read back for reporting."""
 
-    __slots__ = ("run_dir", "meta", "suite", "records")
-
-    def __init__(self, run_dir: Path, meta: dict, suite: SuiteConfig, records: dict[str, RunRecord]) -> None:
-        self.run_dir = run_dir
-        self.meta = meta
-        self.suite = suite
-        self.records = records
+    meta: dict
+    suite: SuiteConfig
+    records: dict[str, RunRecord]
 
 
 def load_run(run_dir: Path | str) -> LoadedRun:
@@ -711,7 +686,7 @@ def load_run(run_dir: Path | str) -> LoadedRun:
                 bench=bench.name,
                 rank=rank,
                 world_size=len(payload["outcomes"]),
-                devices=tuple(row.get("devices", ())),
+                device=(row.get("devices") or [""])[0],
                 env={},
                 command=(),
                 timeout_s=bench.timeout_s,
@@ -728,7 +703,7 @@ def load_run(run_dir: Path | str) -> LoadedRun:
                 )
             )
         records[bench.name] = record
-    return LoadedRun(run_dir=run_dir, meta=meta, suite=suite, records=records)
+    return LoadedRun(meta=meta, suite=suite, records=records)
 
 
 def _load_log(stream: Path, process_id: str) -> ObservationLog:

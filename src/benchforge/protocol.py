@@ -74,7 +74,6 @@ StreamItem = Union[MetricEvent, Rejection]
 class _ObservationFields(NamedTuple):
     work: float
     elapsed: float
-    loss: float | None
     warmup: bool
     task: str
 
@@ -88,14 +87,12 @@ class Observation(_ObservationFields):
 
     __slots__ = ()
 
-    def __new__(
-        cls, work: float, elapsed: float, loss: float | None = None, warmup: bool = False, task: str = "train"
-    ):
+    def __new__(cls, work: float, elapsed: float, warmup: bool = False, task: str = "train"):
         if work <= 0:
             raise ValueError(f"work must be positive, got {work}")
         if elapsed <= 0:
             raise ValueError(f"elapsed must be positive, got {elapsed}")
-        return super().__new__(cls, work, elapsed, loss, warmup, task)
+        return super().__new__(cls, work, elapsed, warmup, task)
 
     @property
     def rate(self) -> float:
@@ -298,10 +295,3 @@ def read_stream(source: Iterable[bytes] | BinaryIO) -> Iterator[StreamItem]:
         return
     yield from decoder.finish()
 
-
-def events_only(items: Iterable[StreamItem]) -> list[MetricEvent]:
-    return [item for item in items if isinstance(item, MetricEvent)]
-
-
-def rejections_only(items: Iterable[StreamItem]) -> list[Rejection]:
-    return [item for item in items if isinstance(item, Rejection)]

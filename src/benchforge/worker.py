@@ -24,10 +24,6 @@ from .protocol import MetricEvent, Observation, ObservationLog, encode_event
 WORKLOAD_KINDS = ("constant", "jitter", "degrading", "crashing", "multiworker")
 
 
-class StopProgram(Exception):
-    """Cooperative stop signal raised once the observation budget is met."""
-
-
 class WorkloadCrash(Exception):
     """Deliberate failure of a crashing workload."""
 
@@ -36,18 +32,17 @@ class _TimerConfigFields(NamedTuple):
     obs_min: int
     obs_max: int
     epochs_max: int
-    defer_flush: bool
 
 
 class TimerConfig(_TimerConfigFields):
     __slots__ = ()
 
-    def __new__(cls, obs_min: int = 30, obs_max: int = 60, epochs_max: int = 10, defer_flush: bool = True):
+    def __new__(cls, obs_min: int = 30, obs_max: int = 60, epochs_max: int = 10):
         if not 0 < obs_min <= obs_max:
             raise ValueError(f"need 0 < obs_min <= obs_max, got {obs_min}, {obs_max}")
         if epochs_max <= 0:
             raise ValueError("epochs_max must be positive")
-        return super().__new__(cls, obs_min, obs_max, epochs_max, defer_flush)
+        return super().__new__(cls, obs_min, obs_max, epochs_max)
 
 
 class _WorkloadSpecFields(NamedTuple):
@@ -106,19 +101,6 @@ class WorkloadSpec(_WorkloadSpecFields):
         )
 
 
-class VirtualClock:
-    """Deterministic producer-side clock, in epoch seconds."""
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = start
-
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, seconds: float) -> None:
-        self._now += seconds
-
-
 class EventSink:
     """Collects emitted events; subclasses forward them somewhere real."""
 
@@ -146,6 +128,8 @@ class SyntheticWorkload:
     Each produced batch is a (work, elapsed, loss) triple; ``elapsed`` is
     the true virtual duration of the batch, sampled per the spec kind.
     ``batches_started`` counts batches actually handed to the caller.
+    Deterministic given (spec, seed): running it twice yields identical
+    batch sequences, hence identical metric streams.
     """
 
     def __init__(self, spec: WorkloadSpec, seed: int) -> None:
@@ -178,15 +162,6 @@ class SyntheticWorkload:
             yield spec.batch_size, elapsed, loss
 
 
-def synthetic_workload(spec: WorkloadSpec, seed: int) -> SyntheticWorkload:
-    """Build the executable behavior for a workload spec.
-
-    Deterministic given (spec, seed): running it twice yields identical
-    batch sequences, hence identical metric streams.
-    """
-    return SyntheticWorkload(spec, seed)
-
-
 class EpochBuffer:
     """Timing tuples recorded during an epoch, not yet resolved.
 
@@ -194,11 +169,9 @@ class EpochBuffer:
     observations (and metric lines) only by ``flush_epoch``.
     """
 
-    def __init__(
-        self, pending: list[tuple[float, float, float, float | None]] | None = None, faults: int = 0
-    ) -> None:
-        self.pending = [] if pending is None else pending
-        self.faults = faults
+    def __init__(self) -> None:
+        self.pending: list[tuple[float, float, float, float | None]] = []
+        self.faults = 0
 
     def record(self, start: float, end: float, work: float, loss: float | None) -> None:
         self.pending.append((start, end, work, loss))
@@ -231,9 +204,7 @@ def flush_epoch(
             buf.faults += 1
             continue
         warmup = emitted_before + len(observations) == 0
-        obs = Observation(
-            work=work, elapsed=end - start, loss=loss, warmup=warmup, task=task
-        )
+        obs = Observation(work=work, elapsed=end - start, warmup=warmup, task=task)
         observations.append(obs)
         if sink is None:
             continue
@@ -265,81 +236,57 @@ def timed_iterate(
     On success the observation count lands in [obs_min, obs_max]; the
     budget check runs right after each batch is recorded, so the
     (obs_max + 1)-th batch is never started. Rate lines appear in the
-    stream only at epoch flushes.
+    stream only at epoch flushes. The clock is a float of virtual
+    seconds, advanced by each batch's sampled duration.
     """
-    behavior = synthetic_workload(workload, seed) if isinstance(workload, WorkloadSpec) else workload
-    if behavior.spec.kind == "multiworker":
-        return _iterate_multiworker(behavior.spec, cfg, sink, seed=behavior.seed)
+    behavior = SyntheticWorkload(workload, seed) if isinstance(workload, WorkloadSpec) else workload
+    spec = behavior.spec
+    if spec.kind == "multiworker":
+        return _iterate_multiworker(spec, cfg, sink, seed=behavior.seed)
 
-    clock = VirtualClock()
-    log = ObservationLog(process_id=task)
     sink = sink if sink is not None else EventSink()
+    log = ObservationLog(process_id=task)
+    now = 0.0
 
     def emit(kind: str, data: dict) -> None:
-        sink.emit(MetricEvent(kind, clock.now(), task, data))
+        sink.emit(MetricEvent(kind, now, task, data))
 
-    spec = behavior.spec
     emit("config", _spec_payload(spec, cfg, behavior.seed))
     emit("start", {})
-    total_appended = 0
-    crash: WorkloadCrash | None = None
-
-    def flush(buf: EpochBuffer) -> None:
+    recorded = 0  # batches recorded, before flush_epoch drops any faulty stamps
+    crash: str | None = None
+    for epoch in range(cfg.epochs_max):
+        buf = EpochBuffer()
+        try:
+            for work, elapsed, loss in behavior.epoch_batches(epoch):
+                start, now = now, now + elapsed
+                buf.record(start, now, work, loss)
+                recorded += 1
+                # Budget check sits right after the batch is recorded,
+                # before the next batch would start.
+                if recorded >= cfg.obs_max:
+                    break
+        except WorkloadCrash as exc:
+            crash = str(exc)
+        emit("phase", {"phase": "flush", "epoch": epoch})
         log.observations.extend(
-            flush_epoch(
-                buf,
-                sink,
-                task=task,
-                units=spec.units,
-                time=clock.now(),
-                emitted_before=len(log.observations),
-            )
+            flush_epoch(buf, sink, task=task, units=spec.units, time=now, emitted_before=len(log.observations))
         )
         log.faults += buf.faults
-        buf.faults = 0
+        emit("progress", {"observations": len(log.observations), "budget": cfg.obs_max})
+        if crash is not None:
+            break
+        if recorded >= cfg.obs_max:
+            emit("stop", {"reason": "observation budget reached"})
+            break
 
-    try:
-        for epoch in range(cfg.epochs_max):
-            buf = EpochBuffer()
-            appended = 0
-            start_stamp = clock.now()
-            try:
-                for work, elapsed, loss in behavior.epoch_batches(epoch):
-                    clock.advance(elapsed)
-                    end_stamp = clock.now()
-                    buf.record(start_stamp, end_stamp, work, loss)
-                    appended += 1
-                    if not cfg.defer_flush:
-                        flush(buf)
-                    # Budget check sits right after the batch is recorded,
-                    # before the next batch would start.
-                    if appended + total_appended >= cfg.obs_max:
-                        break
-                    start_stamp = end_stamp
-            except WorkloadCrash as exc:
-                crash = exc
-            emit("phase", {"phase": "flush", "epoch": epoch})
-            flush(buf)
-            total_appended += appended
-            emit("progress", {"observations": len(log.observations), "budget": cfg.obs_max})
-            if crash is not None:
-                raise crash
-            if total_appended >= cfg.obs_max:
-                raise StopProgram()
-    except StopProgram:
-        emit("stop", {"reason": "observation budget reached"})
-    except WorkloadCrash as exc:
-        log.terminal = "error"
-        log.message = str(exc)
-        emit("error", {"message": str(exc)})
-        emit("end", {})
-        return log
-
-    if len(log.observations) >= cfg.obs_min:
+    if crash is not None:
+        log.message = crash
+        emit("error", {"message": crash})
+    elif len(log.observations) >= cfg.obs_min:
         log.terminal = "success"
         emit("success", {"observations": len(log.observations)})
     else:
-        log.terminal = "error"
         log.message = "insufficient observations"
         emit(
             "error",
@@ -477,7 +424,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--obs-min", type=int, default=None, help="default: $BENCHFORGE_OBS_MIN, else 30")
     parser.add_argument("--obs-max", type=int, default=None, help="default: $BENCHFORGE_OBS_MAX, else 60")
     parser.add_argument("--epochs-max", type=int, default=10)
-    parser.add_argument("--no-defer-flush", action="store_true")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--task", default="train")
     parser.add_argument(
@@ -504,7 +450,6 @@ def main(argv: list[str] | None = None) -> int:
             obs_min=_env_default(args.obs_min, "BENCHFORGE_OBS_MIN", 30),
             obs_max=_env_default(args.obs_max, "BENCHFORGE_OBS_MAX", 60),
             epochs_max=args.epochs_max,
-            defer_flush=not args.no_defer_flush,
         )
         _check_virtual_time(spec, cfg)
     except ValueError as exc:

@@ -17,8 +17,8 @@ import pytest
 
 from benchforge.aggregate import BenchResult, suite_score
 from benchforge.design import MLCMatrix, mlcm_metrics
-from benchforge.protocol import decode_event, encode_event, events_only, read_stream
-from benchforge.worker import TimerConfig, WorkloadSpec, synthetic_workload, timed_iterate
+from benchforge.protocol import MetricEvent, decode_event, encode_event, read_stream
+from benchforge.worker import SyntheticWorkload, TimerConfig, WorkloadSpec, timed_iterate
 from benchforge.worker import EventSink
 
 from conftest import WORKER_CMD, printed_ulp, printed_value
@@ -183,7 +183,7 @@ def test_measurement_budget_property():
                     count = sum(1 for o in log.observations if o.task == worker)
                     assert cfg.obs_min <= count <= cfg.obs_max, (case, worker, count)
         else:
-            behavior = synthetic_workload(spec, seed)
+            behavior = SyntheticWorkload(spec, seed)
             log = timed_iterate(behavior, cfg, sink)
             # The (obs_max + 1)-th batch never starts.
             assert behavior.batches_started <= cfg.obs_max, case
@@ -426,7 +426,7 @@ def test_protocol_conformance(protocol_corpus):
             step = chop.randint(1, 8192)
             chunks.append(payload[pos : pos + step])
             pos += step
-        assert events_only(read_stream(chunks)) == events
+        assert [item for item in read_stream(chunks) if isinstance(item, MetricEvent)] == events
 
     assert len(protocol_corpus) == 20
     for line in protocol_corpus:  # bit-exact golden corpus

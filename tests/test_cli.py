@@ -264,6 +264,23 @@ class TestSelectAndErrors:
         assert captured.out == ""
         assert not (base / "runs").exists()
 
+    def test_selecting_only_unweighted_benchmarks_is_config_error(self, tmp_path, capsys):
+        suite = tmp_path / "optional.yaml"
+        head, _, tail = SMALL_SUITE.rpartition("weight: 1")  # the weight of ``slow``
+        suite.write_text(head + "weight: 0" + tail)
+        base = tmp_path / "w"
+        argv = ["--config", str(suite), "--base-dir", str(base), "--select", "slow"]
+        rc = main(["run", *argv, "--devices", "d0", "--no-setup-check"])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.err == "benchforge: suite: total weight of enabled benchmarks must be > 0\n"
+        assert captured.out == ""
+        assert not (base / "runs").exists()
+        # Setting up an optional benchmark on its own stays allowed.
+        assert main(["install", *argv]) == 0
+        assert main(["prepare", *argv]) == 0
+        assert capsys.readouterr().out == "slow: not-required\nslow: not-required\n"
+
     def test_broken_yaml_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("suite: [oops\n")

@@ -34,9 +34,7 @@ from benchforge.protocol import (
     Rejection,
     decode_event,
     encode_event,
-    events_only,
     read_stream,
-    rejections_only,
 )
 from benchforge.suite import BenchmarkSpec, SuiteConfig, parse_suite
 
@@ -85,8 +83,8 @@ class TestPlanLaunches:
         assert len(plans) == 8
         assert all(p.world_size == 8 for p in plans)
         assert all(p.gang_id is None for p in plans)
-        assert sorted(p.devices[0] for p in plans) == sorted(pool.devices)
-        assert len({p.devices[0] for p in plans}) == 8  # device exclusivity
+        assert sorted(p.device for p in plans) == sorted(pool.devices)
+        assert len({p.device for p in plans}) == 8  # device exclusivity
 
     def test_node_devices_forms_one_gang_on_node_zero(self):
         plans = plan_launches(worker_bench(scale="node-devices"), POOL8_2N)
@@ -328,6 +326,21 @@ class TestInstallPrepare:
         cfg = setup_suite(BenchmarkSpec(name="norun", run_cmd="w"))
         assert prepare(cfg, tmp_path) == {"norun": "not-required"}
 
+    def test_prepare_blocked_while_install_stamp_missing(self, tmp_path):
+        cfg = setup_suite(BenchmarkSpec(name="p", run_cmd="w", install_cmd="true", prepare_cmd="true"))
+        assert prepare(cfg, tmp_path) == {"p": "blocked: install incomplete"}
+        assert not (tmp_path / "data" / "p" / ".prepared").exists()
+        assert install(cfg, tmp_path) == {"p": "done"}
+        assert prepare(cfg, tmp_path) == {"p": "done"}
+
+    def test_prepare_blocked_by_a_stale_install_stamp(self, tmp_path):
+        cfg = setup_suite(BenchmarkSpec(name="p", run_cmd="w", install_cmd="true", prepare_cmd="true"))
+        install(cfg, tmp_path)
+        # The install command changed since its stamp was written.
+        changed = setup_suite(BenchmarkSpec(name="p", run_cmd="w", install_cmd="true v2", prepare_cmd="true"))
+        assert prepare(changed, tmp_path) == {"p": "blocked: install incomplete"}
+        assert prepare(cfg, tmp_path) == {"p": "done"}
+
 
 class TestRun:
     def test_two_constant_benches_on_four_devices(self, tmp_path):
@@ -419,6 +432,15 @@ class TestRun:
         # run_cmd 'w' doesn't exist; but the setup gate passes now
         _, records = run(cfg, POOL4, tmp_path)
         assert all(o.classified == "error" for o in records[0].outcomes)
+
+    def test_setup_check_names_a_pending_prepare(self, tmp_path):
+        cfg = setup_suite(BenchmarkSpec(name="needs", run_cmd="w", install_cmd="true", prepare_cmd="true"))
+        install(cfg, tmp_path)
+        message = "benchmark 'needs': prepare not completed (run `benchforge prepare`)"
+        with pytest.raises(ExecutorError) as excinfo:
+            run(cfg, POOL4, tmp_path)
+        assert str(excinfo.value) == message
+        assert not (tmp_path / "runs").exists()
 
     def test_load_run_round_trips_outcomes(self, tmp_path):
         cfg = setup_suite(worker_bench(name="keep"))
@@ -525,7 +547,7 @@ def _reference_log(events):
                 elapsed = work / float(data["rate"])
             if 0 < elapsed < math.inf and 0 < work / elapsed < math.inf:
                 warmup = bool(data.get("warmup", False))
-                observations.append(Observation(work, elapsed, None, warmup, event.task))
+                observations.append(Observation(work, elapsed, warmup, event.task))
             else:
                 faults += 1
         elif event.event in ("success", "error") and terminal is None:
@@ -570,7 +592,8 @@ def _folded(chunks):
 class TestLogFold:
     def check(self, chunks):
         items = list(read_stream(chunks))
-        events, rejections = events_only(items), rejections_only(items)
+        events = [item for item in items if isinstance(item, MetricEvent)]
+        rejections = [item for item in items if isinstance(item, Rejection)]
         log = _folded(chunks)
         for got in (log, log_from_events(events, "p")):
             assert (got.observations, got.faults, got.terminal, got.message) == _reference_log(events)

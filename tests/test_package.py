@@ -127,7 +127,7 @@ FROZEN = [
     (CoverageTargets, "dimensions", lambda: CoverageTargets({"domains": {"NLP": 1.0}})),
     (BenchmarkSpec, "env", lambda: BenchmarkSpec(name="b", run_cmd="w", env={"K": "v"})),
     (SuiteConfig, "benchmarks", lambda: SuiteConfig("s", (BenchmarkSpec(name="b", run_cmd="w"),))),
-    (BenchResult, "perf", lambda: BenchResult("b", 1.0, 2.0, 1.0, 1, (2.0,))),
+    (BenchResult, "perf", lambda: BenchResult("b", 1.0, 2.0, 1.0)),
     (SuiteScore, "score", lambda: SuiteScore(2.0, {"b": 1.0}, 1.0)),
     (RatioRow, "ratio", lambda: RatioRow("b", 1.0, 2.0, 2.0)),
     (CoverageReport, "deviation", lambda: CoverageReport({"domains": {"NLP": 1.0}}, {}, 1.0)),

@@ -17,9 +17,7 @@ from benchforge.protocol import (
     StreamDecoder,
     decode_event,
     encode_event,
-    events_only,
     read_stream,
-    rejections_only,
 )
 
 
@@ -201,8 +199,8 @@ class TestStream:
             if i < 3:
                 payload += garbage[i]
         items = list(read_stream([payload]))
-        assert len(events_only(items)) == 10
-        assert len(rejections_only(items)) == 3
+        assert len([item for item in items if isinstance(item, MetricEvent)]) == 10
+        assert len([item for item in items if isinstance(item, Rejection)]) == 3
 
     def test_chunk_boundary_invariance(self):
         rng = random.Random(99)
@@ -215,7 +213,7 @@ class TestStream:
                 step = chop.randint(1, 97)
                 chunks.append(payload[pos : pos + step])
                 pos += step
-            decoded = events_only(read_stream(chunks))
+            decoded = [item for item in read_stream(chunks) if isinstance(item, MetricEvent)]
             assert decoded == events
 
     def test_trailing_partial_line_recovered_at_end(self):
@@ -227,7 +225,7 @@ class TestStream:
     def test_file_like_source(self):
         event = MetricEvent("progress", 2.0, "t", {"n": 1})
         stream = io.BytesIO(encode_event(event).encode())
-        assert events_only(read_stream(stream)) == [event]
+        assert [item for item in read_stream(stream) if isinstance(item, MetricEvent)] == [event]
 
     def test_read_failure_preserves_prior_events(self):
         good = encode_event(MetricEvent("start", 0.0, "t", {})).encode()
@@ -258,8 +256,8 @@ class TestGoldenCorpus:
 
     def test_corpus_framing_is_chunk_invariant(self, protocol_corpus):
         payload = "".join(protocol_corpus).encode()
-        whole = events_only(read_stream([payload]))
-        byte_at_a_time = events_only(read_stream([bytes([b]) for b in payload]))
+        whole = [item for item in read_stream([payload]) if isinstance(item, MetricEvent)]
+        byte_at_a_time = [item for item in read_stream([bytes([b]) for b in payload]) if isinstance(item, MetricEvent)]
         assert whole == byte_at_a_time
         assert len(whole) == 20
 

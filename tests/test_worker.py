@@ -1,5 +1,6 @@
 """Measurement-loop tests: budgets, deferred flushing, determinism."""
 
+import hashlib
 import random
 
 import pytest
@@ -11,8 +12,8 @@ from benchforge.worker import (
     TimerConfig,
     WorkloadSpec,
     flush_epoch,
+    SyntheticWorkload,
     main,
-    synthetic_workload,
     timed_iterate,
 )
 
@@ -34,7 +35,7 @@ class TestBudget:
 
     def test_stop_mid_third_epoch_with_epoch_25(self):
         spec = WorkloadSpec(kind="constant", batches_per_epoch=25)
-        behavior = synthetic_workload(spec, seed=0)
+        behavior = SyntheticWorkload(spec, seed=0)
         log = timed_iterate(behavior, TimerConfig(obs_min=30, obs_max=60))
         assert log.terminal == "success"
         assert len(log.observations) == 60
@@ -145,12 +146,6 @@ class TestDeferredEmission:
             elif event.event in ("rate", "loss"):
                 assert open_epoch, "metric line emitted outside a flush window"
 
-    def test_immediate_flush_mode_still_counts_correctly(self):
-        spec = WorkloadSpec(kind="constant", batches_per_epoch=10)
-        log, _ = run_workload(spec, TimerConfig(obs_min=5, obs_max=25, defer_flush=False))
-        assert log.terminal == "success"
-        assert len(log.observations) == 25
-
 
 class TestDeterminism:
     def test_identical_streams_for_identical_inputs(self):
@@ -170,10 +165,10 @@ class TestDeterminism:
     def test_jitter_mean_rate_matches_generators_own_delays(self):
         # Oracle: replay the generator's sampled delays independently.
         spec = WorkloadSpec(kind="jitter", batch_size=32, base_rate=64.0, jitter_frac=0.1)
-        behavior = synthetic_workload(spec, seed=123)
+        behavior = SyntheticWorkload(spec, seed=123)
         log = timed_iterate(behavior, TimerConfig(obs_min=30, obs_max=60))
 
-        replay = synthetic_workload(spec, seed=123)
+        replay = SyntheticWorkload(spec, seed=123)
         sampled = []
         for epoch in range(10):
             for work, elapsed, _ in replay.epoch_batches(epoch):
@@ -358,3 +353,41 @@ class TestBudgetFromEnvironment:
         monkeypatch.delenv("BENCHFORGE_OBS_MAX", raising=False)
         assert main([]) == 0
         assert rate_lines(capsys.readouterr().out) == 60
+
+
+# Each argv, its exit code and the sha256 of the stream it writes. The digests pin the
+# worker's bytes: any change to the loop, the flush or the encoding shows here.
+STREAM_PINS = [
+    ([], 0, "75c68bb5765ae76af0129b2a95305ad4390324bafc0c7c9f93f2e562481c37c5"),
+    (["--kind", "jitter", "--jitter", "0.25", "--seed", "7"], 0,
+     "9a10ccdaf8b2f9b49df4ee258154f45e6e4002e3688d6a2744bc8519df0b808f"),
+    (["--kind", "degrading", "--jitter", "0.05", "--batch", "10", "--rate", "10", "--obs-min", "5", "--obs-max", "20"],
+     0, "0ccd64125d870d8ee5d568f353535a84a2c99d437e2b56adbf1d139ae68005ab"),
+    (["--kind", "crashing", "--crash-after", "37", "--batches-per-epoch", "10"], 1,
+     "5810d4bdcd2d05e0ccb6490a945e9a5e0273ef169d92cef805d63653b597656d"),
+    (["--kind", "crashing", "--crash-after", "0"], 1,
+     "a6e3e2298ebec14cb84e41a6f7789909d56777de76fd9a0287c38a280a4de600"),
+    (["--crash-after", "12", "--batches-per-epoch", "5"], 1,
+     "70ccf63b73f74732e15c9c4ef3da9eac87ec4e4dbd04f2e4a540240bde827db9"),
+    (["--kind", "multiworker", "--workers", "3", "--jitter", "0.2", "--obs-min", "10", "--obs-max", "20", "--seed", "9"],
+     0, "f073db63cdd82253a7ccb52cca66ad2b4c39f3b360889f7682c5adf8b1d31747"),
+    (["--kind", "multiworker", "--workers", "2", "--crash-after", "4", "--obs-min", "3", "--obs-max", "8"], 1,
+     "8fed0772d9e23b0c748fcace4807141d0bb1ea83f1dc315dac6e34343a909191"),
+    # Epochs run out between obs_min and obs_max.
+    (["--batches-per-epoch", "7", "--epochs-max", "2", "--obs-min", "10"], 0,
+     "3488b65c2c8a24a65a7923b486071dd5bf319c9e67cd46ab7324aa32f70a25a8"),
+    # Epochs run out below obs_min.
+    (["--batches-per-epoch", "3", "--epochs-max", "2"], 2,
+     "235991c240fa4daf705ac5f29a4915c7196e7cb1e8b2dbf3434025b262dea362"),
+    (["--kind", "jitter", "--jitter", "0.1", "--task", "eval", "--units", "tokens", "--batch", "128", "--rate", "5000.5"],
+     0, "0aa22168bd6bf7aafd64e8a75bd88fe6bef84b1dc9d1ca9e37e795d5c31684bb"),
+    (["--obs-min", "1", "--obs-max", "1"], 0, "1105000f0d37dc75e944e800e5d1f5a7dc7bfce1a3c1faa3aa3115905e1cb39d"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", STREAM_PINS, ids=[" ".join(a) or "defaults" for a, _, _ in STREAM_PINS])
+def test_stream_bytes_are_pinned(argv, code, digest, monkeypatch, capsys):
+    for variable in ("BENCHFORGE_OBS_MIN", "BENCHFORGE_OBS_MAX", "BENCHFORGE_METRICS_FD"):
+        monkeypatch.delenv(variable, raising=False)
+    assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
