@@ -13,9 +13,13 @@ magnitude that per-benchmark rates span.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import NamedTuple
 
 from .protocol import ObservationLog
+
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # warmup column -> keep flags when warmup is dropped
 
 
 class AggregateError(ValueError):
@@ -75,9 +79,9 @@ def fold_process(log: ObservationLog, drop_warmup: bool = True) -> float | None:
     Returns None when there are no observations at all; such a process
     contributes only to the failure count.
     """
-    rates = [o.rate for o in log.observations if not (drop_warmup and o.warmup)]
-    if not rates:
-        rates = log.rates()
+    rates = log.rates()
+    if drop_warmup and 1 in log.warmup:
+        rates = list(compress(rates, log.warmup.translate(_FLIP))) or rates
     if not rates:
         return None
     # What statistics.median returns, without importing it.

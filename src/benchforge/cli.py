@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import csv
+import gc
 import json
 import sys
 from pathlib import Path
@@ -146,6 +146,8 @@ def _design_coverage(args: argparse.Namespace) -> int:
 
 
 def _design_mlcm(args: argparse.Namespace) -> int:
+    import csv
+
     from .design import DesignError, mlcm_build, mlcm_metrics
 
     samples = []
@@ -232,6 +234,8 @@ def _fail(exc: Exception) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The imported modules live as long as the process: keep the collector from walking them again.
+    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "install":

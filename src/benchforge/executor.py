@@ -19,14 +19,8 @@ import hashlib
 import json
 import math
 import os
-import selectors
-import shlex
-import signal
-import struct
-import subprocess
 import sys
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -34,7 +28,6 @@ from .protocol import (
     CHUNK_BYTES,
     TERMINAL_KINDS,
     MetricEvent,
-    Observation,
     ObservationLog,
     Rejection,
     StreamDecoder,
@@ -128,6 +121,8 @@ class RunRecord:
 
 
 def _resolve(template: str, values: dict[str, object]) -> tuple[str, ...]:
+    import shlex
+
     try:
         return tuple(shlex.split(template.format_map(values)))
     except (KeyError, ValueError) as exc:
@@ -225,7 +220,7 @@ class LogFold:
 
     ``feed`` frames and decodes a chunk and folds its items at once, so no
     list of the stream's events is ever kept. The rules: a ``rate`` event
-    becomes an Observation, or a fault when its span or its rate is not
+    becomes an observation, or a fault when its span or its rate is not
     finite and positive; the first ``success`` or ``error`` sets the
     terminal (``error`` when none comes), and an ``error`` its message; a
     Rejection is counted, and the first REASONS_KEPT reasons are kept.
@@ -242,7 +237,7 @@ class LogFold:
 
     def add(self, items: Iterable[StreamItem]) -> None:
         log = self.log
-        observations = log.observations
+        add = log.add
         for item in items:
             if type(item) is Rejection:
                 log.rejected += 1
@@ -261,9 +256,7 @@ class LogFold:
                 if not (0 < elapsed < math.inf and 0 < work / elapsed < math.inf):
                     log.faults += 1
                     continue
-                # Both fields are checked positive above, all Observation.__new__ would check.
-                warmup = bool(data.get("warmup", False))
-                observations.append(tuple.__new__(Observation, (work, elapsed, warmup, item.task)))
+                add(work, elapsed, bool(data.get("warmup", False)), item.task)
             elif kind in TERMINAL_KINDS and self._terminal is None:
                 self._terminal = kind
                 if kind == "error":
@@ -286,7 +279,7 @@ def log_from_events(events: list[MetricEvent], process_id: str) -> ObservationLo
 # Version of the fold sidecar: bump it whenever the fold rules or the layout change.
 FOLD_FORMAT = 1
 # Bytes per observation in a sidecar: work and elapsed (f64), warmup (u8), task index (u32).
-_FOLD_RECORD = struct.calcsize("=ddBI")
+_FOLD_RECORD = 8 + 8 + 1 + 4
 
 
 def fold_sidecar(log: ObservationLog, sha256: str, size: int) -> bytes:
@@ -294,42 +287,33 @@ def fold_sidecar(log: ObservationLog, sha256: str, size: int) -> bytes:
 
     One ASCII JSON header line (format, byte order, the stream's digest and
     length, the observation count, the task table and the log's other
-    fields), then four arrays in native byte order with one item per
-    observation: work, elapsed, warmup and task index.
+    fields), then the log's four columns in native byte order: work,
+    elapsed, warmup and task index.
     """
-    observations = log.observations
-    n = len(observations)
-    tasks: dict[str, int] = {}
-    index = [tasks.setdefault(o.task, len(tasks)) for o in observations]
     header = {
         "format": FOLD_FORMAT,
         "byteorder": sys.byteorder,
         "sha256": sha256,
         "bytes": size,
-        "observations": n,
-        "tasks": list(tasks),
+        "observations": len(log.work),
+        "tasks": list(log.tasks),
         "terminal": log.terminal,
         "message": log.message,
         "faults": log.faults,
         "rejected": log.rejected,
         "rejection_reasons": log.rejection_reasons,
     }
-    return b"".join(
-        (
-            json.dumps(header).encode("ascii") + b"\n",
-            struct.pack(f"={n}d", *[o.work for o in observations]),
-            struct.pack(f"={n}d", *[o.elapsed for o in observations]),
-            bytes([o.warmup for o in observations]),
-            struct.pack(f"={n}I", *index),
-        )
-    )
+    columns = (log.work.tobytes(), log.elapsed.tobytes(), log.warmup, log.task_index.tobytes())
+    return b"".join((json.dumps(header).encode("ascii") + b"\n", *columns))
 
 
 def log_from_sidecar(data: bytes, sha256: str, size: int, process_id: str) -> ObservationLog | None:
     """The log ``fold_sidecar`` stored, or None unless it is the fold of this stream.
 
     It is returned only when the format, the byte order, the stream length
-    and the stream digest all match and the arrays are complete.
+    and the stream digest all match, the arrays are complete, every warmup
+    byte is 0 or 1 and every task index is inside the task table. The
+    arrays become the log's columns as they are.
     """
     head, _, body = data.partition(b"\n")
     try:
@@ -338,24 +322,28 @@ def log_from_sidecar(data: bytes, sha256: str, size: int, process_id: str) -> Ob
         if stamp != (FOLD_FORMAT, sys.byteorder, size, sha256):
             return None
         n, tasks = header["observations"], header["tasks"]
-        if type(n) is not int or len(body) != n * _FOLD_RECORD:
+        if type(n) is not int or len(body) != n * _FOLD_RECORD or type(tasks) is not list:
             return None
-        work, elapsed = struct.unpack_from(f"={n}d", body), struct.unpack_from(f"={n}d", body, 8 * n)
-        warmup, index = body[16 * n : 17 * n], struct.unpack_from(f"={n}I", body, 17 * n)
-        # Every stored observation passed the fold's checks, all Observation.__new__ would check.
-        new = tuple.__new__
-        observations = [
-            new(Observation, (w, e, u == 1, tasks[t])) for w, e, u, t in zip(work, elapsed, warmup, index)
-        ]
-        log = ObservationLog(process_id, observations, header["terminal"], header["faults"], header["message"])
+        log = ObservationLog(process_id, header["terminal"], header["faults"], header["message"])
         log.rejected, log.rejection_reasons = header["rejected"], header["rejection_reasons"]
-    except (ValueError, TypeError, KeyError, IndexError, struct.error):  # cut short, or not a sidecar
+        log.tasks = {task: i for i, task in enumerate(tasks)}
+        log.work.frombytes(body[: 8 * n])
+        log.elapsed.frombytes(body[8 * n : 16 * n])
+        log.warmup[:] = body[16 * n : 17 * n]
+        log.task_index.frombytes(body[17 * n :])
+    except (ValueError, TypeError, KeyError):  # cut short, or not a sidecar
+        return None
+    if len(log.tasks) != len(tasks) or not all(type(task) is str for task in tasks):
+        return None
+    if log.warmup.translate(None, b"\0\1") or max(log.task_index, default=-1) >= len(tasks):
         return None
     return log
 
 
-def _kill_group(proc: subprocess.Popen) -> int:
-    """SIGKILL the child's whole process group, then reap the child."""
+def _kill_group(proc) -> int:
+    """SIGKILL the whole process group of the child ``proc`` (a Popen), then reap the child."""
+    import signal
+
     # The unreaped child pins its pgid, so this kills only its group.
     try:
         os.killpg(proc.pid, signal.SIGKILL)
@@ -377,6 +365,10 @@ def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
     success, and it gathered at least obs_min observations; a child still
     running at timeout_s is a timeout.
     """
+    # Imported here: only run supervises a child, so report never loads them.
+    import selectors
+    import subprocess
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stream_path = out_dir / f"{plan.rank}.jsonl"
@@ -435,11 +427,11 @@ def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
     if timed_out:
         log.terminal = "timeout"
         classified = "timeout"
-    elif exit_code == 0 and log.terminal == "success" and len(log.observations) >= plan.obs_min:
+    elif exit_code == 0 and log.terminal == "success" and len(log.work) >= plan.obs_min:
         classified = "success"
     else:
         classified = "error"
-        if exit_code == 0 and len(log.observations) < plan.obs_min:
+        if exit_code == 0 and len(log.work) < plan.obs_min:
             log.message = log.message or "insufficient observations"
     return ProcessOutcome(plan, log, exit_code, duration, classified)
 
@@ -465,6 +457,8 @@ def _pending(bench: BenchmarkSpec, base_dir: Path, phase: str) -> bool:
 
 
 def _setup_phase(cfg: SuiteConfig, base_dir: Path, phase: str) -> dict[str, str]:
+    import subprocess
+
     subdir, stamp_name, field = _PHASES[phase]
     earlier = list(_PHASES)[: list(_PHASES).index(phase)]
     statuses: dict[str, str] = {}
@@ -614,7 +608,7 @@ def _write_outcomes(bench_out: Path, record: RunRecord) -> None:
             "exit_code": o.exit_code,
             "duration_s": o.duration_s,
             "classified": o.classified,
-            "observations": len(o.log.observations),
+            "observations": len(o.log.work),
             "message": o.log.message,
             "rejected": o.log.rejected,
             "rejection_reasons": o.log.rejection_reasons,
@@ -632,6 +626,8 @@ def _write_outcomes(bench_out: Path, record: RunRecord) -> None:
 
 
 def _new_run_dir(base_dir: Path) -> Path:
+    from datetime import datetime, timezone
+
     stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
     candidate = base_dir / "runs" / stamp
     suffix = 0
@@ -657,7 +653,9 @@ def load_run(run_dir: Path | str) -> LoadedRun:
     holds the fold of the stream as it now is, and otherwise from
     ``<rank>.jsonl``, read in ``CHUNK_BYTES`` chunks and folded by one
     ``LogFold`` as it is decoded. A stream that exists but cannot be read
-    raises ``OSError`` rather than yielding a shorter log.
+    raises ``OSError`` rather than yielding a shorter log, and an enabled
+    benchmark without ``outcomes.json`` raises ``ExecutorError`` rather
+    than folding as a total failure.
     """
     from .suite import parse_suite
 
@@ -671,12 +669,10 @@ def load_run(run_dir: Path | str) -> LoadedRun:
     records: dict[str, RunRecord] = {}
     for bench in suite.enabled_benchmarks():
         bench_dir = run_dir / bench.name
-        record = RunRecord(bench=bench.name)
         outcomes_path = bench_dir / "outcomes.json"
         if not outcomes_path.exists():
-            record.error = "no outcomes recorded"
-            records[bench.name] = record
-            continue
+            raise ExecutorError(f"{run_dir} is incomplete: benchmark {bench.name!r} has no outcomes.json")
+        record = RunRecord(bench=bench.name)
         payload = json.loads(outcomes_path.read_text(encoding="utf-8"))
         record.error = payload.get("error")
         for row in payload["outcomes"]:

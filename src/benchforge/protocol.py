@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import math
 import sys
+from array import array
+from operator import truediv
 from typing import Any, BinaryIO, Iterable, Iterator, NamedTuple, Union
 
 EVENT_KINDS = frozenset(
@@ -37,6 +39,8 @@ TERMINAL_KINDS = frozenset({"success", "error"})
 
 # Bytes per read when a stream is pulled from a file or a pipe.
 CHUNK_BYTES = 65536
+
+assert array("I").itemsize == 4  # ObservationLog.task_index is stored as u32 in a fold sidecar
 
 
 class ProtocolError(ValueError):
@@ -100,18 +104,26 @@ class Observation(_ObservationFields):
 
 
 class ObservationLog:
-    """Folded outcome of one worker process."""
+    """Folded outcome of one worker process.
+
+    Its observations are four columns: ``work`` and ``elapsed`` (float
+    arrays), ``warmup`` (a bytearray of 0 and 1) and ``task_index`` into
+    ``tasks``, which numbers the task names in order of first use.
+    """
 
     def __init__(
         self,
         process_id: str,
-        observations: list[Observation] | None = None,
         terminal: str = "error",  # one of {success, error, timeout}
         faults: int = 0,  # timings dropped: end not after start, or a span or rate out of range
         message: str = "",
     ) -> None:
         self.process_id = process_id
-        self.observations = [] if observations is None else observations
+        self.work = array("d")
+        self.elapsed = array("d")
+        self.warmup = bytearray()
+        self.task_index = array("I")
+        self.tasks: dict[str, int] = {}
         self.terminal = terminal
         self.faults = faults
         self.message = message
@@ -119,17 +131,32 @@ class ObservationLog:
         self.rejected = 0
         self.rejection_reasons: list[str] = []
 
+    def add(self, work: float, elapsed: float, warmup: bool = False, task: str = "train") -> None:
+        """Append one observation; like ``Observation``, it refuses a work or elapsed not > 0."""
+        if not (work > 0 and elapsed > 0):
+            raise ValueError(f"work and elapsed must be positive, got {work}, {elapsed}")
+        self.work.append(work)
+        self.elapsed.append(elapsed)
+        self.warmup.append(1 if warmup else 0)
+        self.task_index.append(self.tasks.setdefault(task, len(self.tasks)))
+
+    def extend(self, observations: Iterable[Observation]) -> None:
+        for o in observations:
+            self.add(o.work, o.elapsed, o.warmup, o.task)
+
+    @property
+    def observations(self) -> tuple[Observation, ...]:
+        """The observations as ``Observation`` values, built anew on each access."""
+        names = list(self.tasks)
+        rows = zip(self.work, self.elapsed, map(bool, self.warmup), map(names.__getitem__, self.task_index))
+        return tuple(Observation(*row) for row in rows)
+
     def rates(self) -> list[float]:
-        return [o.rate for o in self.observations]
+        return list(map(truediv, self.work, self.elapsed))
 
 
-def _canonical(value: Any) -> Any:
-    """Recursively sort mapping keys so encoding is deterministic."""
-    if isinstance(value, dict):
-        return {k: _canonical(value[k]) for k in sorted(value)}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    return value
+# Payload keys are sorted by the encoder; the top-level keys are written in their fixed order.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False, ensure_ascii=False).encode
 
 
 def encode_event(event: MetricEvent) -> str:
@@ -138,15 +165,12 @@ def encode_event(event: MetricEvent) -> str:
     Top-level keys appear in the fixed order event, time, task, data;
     payload keys are sorted. Output is UTF-8 safe and ends with ``\\n``.
     """
-    payload = {
-        "event": event.event,
-        "time": event.time,
-        "task": event.task,
-        "data": _canonical(event.data),
-    }
     try:
-        line = json.dumps(payload, separators=(",", ":"), allow_nan=False, ensure_ascii=False)
-    except (TypeError, ValueError) as exc:
+        line = (
+            f'{{"event":{_ENCODE(event.event)},"time":{_ENCODE(event.time)},'
+            f'"task":{_ENCODE(event.task)},"data":{_ENCODE(event.data)}}}'
+        )
+    except (TypeError, ValueError) as exc:  # TypeError also when payload keys cannot be sorted
         raise ProtocolError(f"payload not serializable: {exc}") from exc
     if "\n" in line:
         raise ProtocolError("encoded event contains interior newline")

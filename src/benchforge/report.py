@@ -9,7 +9,6 @@ Failed benchmarks render as blank cells, never as zeros.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 
@@ -200,6 +199,8 @@ def render_csv(doc: ReportDocument) -> str:
     The trailing per-system Global Score rows carry the total weight in
     the weight column and the score in the perf column.
     """
+    import csv
+
     out = io.StringIO()
     header = ["system", "bench", "weight", "perf", "success_rate"]
     ratio_col = _ratio_header(doc)

@@ -269,11 +269,9 @@ def timed_iterate(
         except WorkloadCrash as exc:
             crash = str(exc)
         emit("phase", {"phase": "flush", "epoch": epoch})
-        log.observations.extend(
-            flush_epoch(buf, sink, task=task, units=spec.units, time=now, emitted_before=len(log.observations))
-        )
+        log.extend(flush_epoch(buf, sink, task=task, units=spec.units, time=now, emitted_before=len(log.work)))
         log.faults += buf.faults
-        emit("progress", {"observations": len(log.observations), "budget": cfg.obs_max})
+        emit("progress", {"observations": len(log.work), "budget": cfg.obs_max})
         if crash is not None:
             break
         if recorded >= cfg.obs_max:
@@ -283,16 +281,16 @@ def timed_iterate(
     if crash is not None:
         log.message = crash
         emit("error", {"message": crash})
-    elif len(log.observations) >= cfg.obs_min:
+    elif len(log.work) >= cfg.obs_min:
         log.terminal = "success"
-        emit("success", {"observations": len(log.observations)})
+        emit("success", {"observations": len(log.work)})
     else:
         log.message = "insufficient observations"
         emit(
             "error",
             {
                 "message": "insufficient observations",
-                "observations": len(log.observations),
+                "observations": len(log.work),
                 "obs_min": cfg.obs_min,
             },
         )
@@ -323,7 +321,7 @@ def _iterate_multiworker(
         worker_events.extend(
             e for e in capture.events if e.event not in ("success", "error", "end")
         )
-        merged.observations.extend(wlog.observations)
+        merged.extend(wlog.observations)
         merged.faults += wlog.faults
         if wlog.terminal != "success":
             all_ok = False
@@ -338,7 +336,7 @@ def _iterate_multiworker(
     if all_ok:
         merged.terminal = "success"
         out.emit(
-            MetricEvent("success", end_time, "main", {"observations": len(merged.observations)})
+            MetricEvent("success", end_time, "main", {"observations": len(merged.work)})
         )
     else:
         merged.terminal = "error"

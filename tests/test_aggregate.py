@@ -17,15 +17,13 @@ from benchforge.aggregate import (
     ratio_to_baseline,
     suite_score,
 )
-from benchforge.protocol import Observation, ObservationLog
+from benchforge.protocol import ObservationLog
 
 
 def log_with_rates(rates, warmup_first=False):
     log = ObservationLog(process_id="p", terminal="success")
     for i, rate in enumerate(rates):
-        log.observations.append(
-            Observation(work=rate, elapsed=1.0, warmup=warmup_first and i == 0)
-        )
+        log.add(work=rate, elapsed=1.0, warmup=warmup_first and i == 0)
     return log
 
 

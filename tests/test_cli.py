@@ -102,6 +102,18 @@ class TestReportCLI:
         assert rc == 4
         assert "0.jsonl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("missing", [("slow",), ("fast", "slow")], ids=["one", "both"])
+    def test_incomplete_run_dir_fails_report(self, suite_path, tmp_path, capsys, missing):
+        run_dir = run_once(suite_path, tmp_path / "a", "boxA")
+        capsys.readouterr()
+        for bench in missing:
+            (run_dir / bench / "outcomes.json").unlink()
+        rc = main(["report", "--runs", str(run_dir)])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"benchmark {missing[0]!r}" in captured.err and "outcomes.json" in captured.err
+
     def test_text_report_to_stdout(self, suite_path, tmp_path, capsys):
         run_dir = run_once(suite_path, tmp_path / "a", "boxA")
         rc = main(["report", "--runs", str(run_dir)])

@@ -4,12 +4,16 @@ import hashlib
 import json
 import math
 import os
+import statistics
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from benchforge.executor import (
@@ -18,6 +22,7 @@ from benchforge.executor import (
     DevicePool,
     ExecutorError,
     LogFold,
+    _load_log,
     fold_sidecar,
     install,
     load_run,
@@ -28,9 +33,11 @@ from benchforge.executor import (
     run,
     supervise,
 )
+from benchforge.aggregate import fold_process
 from benchforge.protocol import (
     MetricEvent,
     Observation,
+    ObservationLog,
     Rejection,
     decode_event,
     encode_event,
@@ -554,7 +561,7 @@ def _reference_log(events):
             terminal = event.event
             if terminal == "error":
                 message = str(data.get("message", ""))
-    return observations, faults, terminal or "error", message
+    return tuple(observations), faults, terminal or "error", message
 
 
 _positive = st.one_of(st.floats(1e-300, 1e300), st.integers(1, 10**6))
@@ -710,6 +717,87 @@ class TestFoldSidecar:
         assert log_from_sidecar(sidecar, digest, len(payload), "p") is not None
         assert log_from_sidecar(sidecar, digest, len(payload) + 1, "p") is None
         assert log_from_sidecar(sidecar, hashlib.sha256(b"edited").hexdigest(), len(payload), "p") is None
+
+
+_TASKS = ("train", "worker-0", "worker-1", "rang-\u00e9")
+_observation = st.builds(Observation, st.floats(1e-6, 1e6), st.floats(1e-6, 1e6), st.booleans(), st.sampled_from(_TASKS))
+
+
+def _stream_of(observations):
+    """Rate lines whose fold is exactly ``observations``: t0 is 0, so t1 - t0 is the elapsed time."""
+    return b"".join(
+        encode_event(
+            MetricEvent(
+                "rate",
+                1.0,
+                o.task,
+                {"batch": o.work, "rate": o.rate, "t0": 0.0, "t1": o.elapsed, "units": "x", "warmup": o.warmup},
+            )
+        ).encode()
+        for o in observations
+    )
+
+
+def _columns(log):
+    return (log.work, log.elapsed, log.warmup, log.task_index, list(log.tasks.items()))
+
+
+def _reference_median(observations, drop_warmup):
+    """The fold rule over Observation values: warmup dropped unless nothing is left, then the median."""
+    rates = [o.rate for o in observations if not (drop_warmup and o.warmup)] or [o.rate for o in observations]
+    return statistics.median(rates) if rates else None
+
+
+class TestColumnarLog:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_observation, max_size=41))
+    @example([])
+    @example([Observation(3.0, 2.0, True, "train")] * 3)
+    @example([Observation(1.0, 1.0, True, "train")] * 4)
+    @example([Observation(2.0 + i, 1.0, i == 0, _TASKS[i % 3]) for i in range(6)])
+    @example([Observation(2.0 + i, 0.5, i == 0, _TASKS[(i * 5) % 4]) for i in range(7)])
+    def test_sidecar_holds_the_columns_and_folds_like_the_observations(self, observations):
+        payload = _stream_of(observations)
+        digest = hashlib.sha256(payload).hexdigest()
+        log = _folded([payload])
+        assert log.observations == tuple(observations)
+        back = log_from_sidecar(fold_sidecar(log, digest, len(payload)), digest, len(payload), "p")
+        assert back is not None
+        assert _columns(back) == _columns(log)
+        assert back.observations == tuple(observations)
+        for drop_warmup in (True, False):
+            want = _reference_median(observations, drop_warmup)
+            assert fold_process(back, drop_warmup) == fold_process(log, drop_warmup) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_observation, min_size=1, max_size=41), st.booleans(), st.integers(0, 10**6))
+    def test_corrupt_column_falls_back_to_decoding(self, observations, spoil_warmup, position):
+        payload = _stream_of(observations)
+        digest = hashlib.sha256(payload).hexdigest()
+        log = _folded([payload])
+        sidecar = bytearray(fold_sidecar(log, digest, len(payload)))
+        n, body, i = len(observations), sidecar.index(b"\n") + 1, position % len(observations)
+        if spoil_warmup:
+            sidecar[body + 16 * n + i] = 2
+        else:
+            at = body + 17 * n + 4 * i
+            sidecar[at : at + 4] = len(log.tasks).to_bytes(4, sys.byteorder)
+        assert log_from_sidecar(bytes(sidecar), digest, len(payload), "p") is None
+        with tempfile.TemporaryDirectory() as tmp:
+            stream = Path(tmp) / "0.jsonl"
+            stream.write_bytes(payload)
+            stream.with_suffix(".fold").write_bytes(sidecar)
+            with mock.patch.object(LogFold, "feed", autospec=True, side_effect=LogFold.feed) as feed:
+                got = _load_log(stream, "p")
+        assert feed.called
+        assert _fields(got) == _fields(log)
+
+    @pytest.mark.parametrize("work, elapsed", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0)])
+    def test_add_refuses_what_observation_refuses(self, work, elapsed):
+        log = ObservationLog("p")
+        with pytest.raises(ValueError):
+            log.add(work, elapsed)
+        assert (len(log.work), len(log.elapsed), len(log.warmup), len(log.task_index), log.tasks) == (0, 0, 0, 0, {})
 
 
 def _stream_folds(run_dir, bench):

@@ -77,6 +77,22 @@ class TestEncode:
         with pytest.raises(ProtocolError):
             encode_event(MetricEvent("config", 0.0, "t", {"bad": object()}))
 
+    @pytest.mark.parametrize(
+        "data",
+        [{1: "a", "b": 2}, {"outer": {None: 1, "x": 2}}, {"list": [{2.5: 1, "y": 2}]}],
+        ids=["top", "nested", "in-list"],
+    )
+    def test_mixed_type_payload_keys_raise(self, data):
+        with pytest.raises(ProtocolError):
+            encode_event(MetricEvent("config", 0.0, "t", data))
+
+    def test_nested_payload_keys_sorted_top_level_fixed(self):
+        event = MetricEvent("config", 0.5, "t", {"z": [{"b": 1, "a": 2}], "m": {"y": {"d": 0, "c": 1}, "x": None}})
+        assert encode_event(event) == (
+            '{"event":"config","time":0.5,"task":"t","data":'
+            '{"m":{"x":null,"y":{"c":1,"d":0}},"z":[{"a":2,"b":1}]}}\n'
+        )
+
     def test_nan_rejected(self):
         with pytest.raises(ProtocolError):
             encode_event(MetricEvent("loss", 0.0, "t", {"loss": float("nan")}))
