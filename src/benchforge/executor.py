@@ -4,8 +4,9 @@ Benchmarks execute sequentially in suite order so results stay
 uncontaminated; the processes of one benchmark run concurrently across
 the declared device pool. Every child gets a dedicated metric channel
 (a pipe named via BENCHFORGE_METRICS_FD); stderr passes through
-untouched. One select loop per child (``supervise``) reads the pipe, watches
-the exit and the timeout, and then kills the child's whole process group.
+untouched. One select loop per benchmark, in the calling thread, reads
+every child's pipe and watches each child's exit and timeout, then kills
+that child's whole process group; ``supervise`` is its one-child case.
 
 Run layout: ``<base>/runs/<stamp>/<bench>/<rank>.jsonl`` plus
 ``meta.json``, ``suite.yaml``, per-benchmark ``outcomes.json`` and, next
@@ -91,17 +92,14 @@ class ProcessPlan(NamedTuple):
     gang_id: str | None = None
 
 
-class ProcessOutcome:
-    __slots__ = ("plan", "log", "exit_code", "duration_s", "classified")
+class ProcessOutcome(NamedTuple):
+    """How one planned child ended."""
 
-    def __init__(
-        self, plan: ProcessPlan, log: ObservationLog, exit_code: int, duration_s: float, classified: str
-    ) -> None:
-        self.plan = plan
-        self.log = log
-        self.exit_code = exit_code
-        self.duration_s = duration_s
-        self.classified = classified  # one of {success, error, timeout}
+    plan: ProcessPlan
+    log: ObservationLog
+    exit_code: int
+    duration_s: float
+    classified: str  # one of {success, error, timeout}
 
 
 class RunRecord:
@@ -277,7 +275,7 @@ def log_from_events(events: list[MetricEvent], process_id: str) -> ObservationLo
 
 
 # Version of the fold sidecar: bump it whenever the fold rules or the layout change.
-FOLD_FORMAT = 1
+FOLD_FORMAT = 2
 # Bytes per observation in a sidecar: work and elapsed (f64), warmup (u8), task index (u32).
 _FOLD_RECORD = 8 + 8 + 1 + 4
 
@@ -286,16 +284,18 @@ def fold_sidecar(log: ObservationLog, sha256: str, size: int) -> bytes:
     """Serialize ``log``, the fold of a stream of ``size`` bytes with digest ``sha256``.
 
     One ASCII JSON header line (format, byte order, the stream's digest and
-    length, the observation count, the task table and the log's other
-    fields), then the log's four columns in native byte order: work,
-    elapsed, warmup and task index.
+    length, the observation count, the digest of the columns, the task
+    table and the log's other fields), then the log's four columns in
+    native byte order: work, elapsed, warmup and task index.
     """
+    body = b"".join((log.work.tobytes(), log.elapsed.tobytes(), log.warmup, log.task_index.tobytes()))
     header = {
         "format": FOLD_FORMAT,
         "byteorder": sys.byteorder,
         "sha256": sha256,
         "bytes": size,
         "observations": len(log.work),
+        "columns_sha256": hashlib.sha256(body).hexdigest(),
         "tasks": list(log.tasks),
         "terminal": log.terminal,
         "message": log.message,
@@ -303,17 +303,16 @@ def fold_sidecar(log: ObservationLog, sha256: str, size: int) -> bytes:
         "rejected": log.rejected,
         "rejection_reasons": log.rejection_reasons,
     }
-    columns = (log.work.tobytes(), log.elapsed.tobytes(), log.warmup, log.task_index.tobytes())
-    return b"".join((json.dumps(header).encode("ascii") + b"\n", *columns))
+    return json.dumps(header).encode("ascii") + b"\n" + body
 
 
 def log_from_sidecar(data: bytes, sha256: str, size: int, process_id: str) -> ObservationLog | None:
     """The log ``fold_sidecar`` stored, or None unless it is the fold of this stream.
 
     It is returned only when the format, the byte order, the stream length
-    and the stream digest all match, the arrays are complete, every warmup
-    byte is 0 or 1 and every task index is inside the task table. The
-    arrays become the log's columns as they are.
+    and the stream digest all match, the arrays are complete and match
+    their digest, every warmup byte is 0 or 1 and every task index is
+    inside the task table. The arrays become the log's columns as they are.
     """
     head, _, body = data.partition(b"\n")
     try:
@@ -323,6 +322,8 @@ def log_from_sidecar(data: bytes, sha256: str, size: int, process_id: str) -> Ob
             return None
         n, tasks = header["observations"], header["tasks"]
         if type(n) is not int or len(body) != n * _FOLD_RECORD or type(tasks) is not list:
+            return None
+        if header["columns_sha256"] != hashlib.sha256(body).hexdigest():
             return None
         log = ObservationLog(process_id, header["terminal"], header["faults"], header["message"])
         log.rejected, log.rejection_reasons = header["rejected"], header["rejection_reasons"]
@@ -352,88 +353,134 @@ def _kill_group(proc) -> int:
     return proc.wait()
 
 
-def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
-    """Launch one planned child and follow it to an outcome.
+class _Child:
+    """A child of the supervision loop, launched on construction; the data of both its selector keys."""
 
-    One select loop in the calling thread reads the metric pipe (captured
-    verbatim to ``out_dir/<rank>.jsonl`` and folded as it arrives) and
-    watches a pidfd of the child until it exits or timeout_s passes. Then it kills
-    the child's whole process group, reaps the child, and drains the pipe
-    for at most DRAIN_S seconds; an exception kills and reaps it too. The
-    fold, as the stream gave it, goes to ``out_dir/<rank>.fold``.
-    Classification: success iff the child exited 0, its log ended in
-    success, and it gathered at least obs_min observations; a child still
-    running at timeout_s is a timeout.
+    def __init__(self, plan: ProcessPlan, out_dir: Path, sel) -> None:
+        import selectors
+        import subprocess
+
+        self.plan, self.stream = plan, out_dir / f"{plan.rank}.jsonl"
+        self.fold = LogFold(f"{plan.bench}/{plan.rank}")
+        self.digest = hashlib.sha256()
+        self.exit_code = self.log = None
+        # eof: the pipe hit EOF; exited: the pidfd fired, so the child ended before its deadline.
+        self.duration, self.eof, self.exited = 0.0, False, False
+        self.capture = open(self.stream, "wb")
+        self.read_fd, write_fd = os.pipe()
+        env = {**os.environ, **plan.env, "BENCHFORGE_METRICS_FD": str(write_fd)}
+        self.started = time.monotonic()
+        try:
+            self.proc = subprocess.Popen(plan.command, env=env, pass_fds=(write_fd,), start_new_session=True)
+        except OSError as exc:
+            os.close(self.read_fd)
+            self.capture.close()
+            self.log = ObservationLog(process_id=self.fold.log.process_id, message=str(exc))
+            self.exit_code, self.classified = -1, "error"
+            return
+        finally:
+            os.close(write_fd)
+        self.pidfd = os.pidfd_open(self.proc.pid)
+        # The child's deadline; once it is reaped, the end of its drain.
+        self.deadline = self.started + plan.timeout_s
+        sel.register(self.read_fd, selectors.EVENT_READ, self)
+        sel.register(self.pidfd, selectors.EVENT_READ, self)
+
+    def read(self, sel) -> None:
+        chunk = os.read(self.read_fd, CHUNK_BYTES)
+        if not chunk:
+            sel.unregister(self.read_fd)
+            self.eof = True
+        self.capture.write(chunk)
+        self.digest.update(chunk)
+        self.fold.feed(chunk)
+
+    def reap(self, sel) -> None:
+        self.exit_code = _kill_group(self.proc)
+        self.duration = time.monotonic() - self.started
+        sel.unregister(self.pidfd)
+        self.deadline = time.monotonic() + DRAIN_S
+
+    def finish(self, sel) -> None:
+        """Stop reading, write the sidecar, and classify the child."""
+        if not self.eof:
+            sel.unregister(self.read_fd)
+        log = self.fold.finish()
+        # Written before the verdict below edits the terminal or the message.
+        sidecar = fold_sidecar(log, self.digest.hexdigest(), self.capture.tell())
+        self.stream.with_suffix(".fold").write_bytes(sidecar)
+        if not self.exited:
+            log.terminal = "timeout"
+            self.classified = "timeout"
+        elif self.exit_code == 0 and log.terminal == "success" and len(log.work) >= self.plan.obs_min:
+            self.classified = "success"
+        else:
+            self.classified = "error"
+            if self.exit_code == 0 and len(log.work) < self.plan.obs_min:
+                log.message = log.message or "insufficient observations"
+        self.close()
+        self.log = log
+
+    def close(self) -> None:
+        os.close(self.read_fd)
+        os.close(self.pidfd)
+        self.capture.close()
+
+
+def _supervise_all(plans: list[ProcessPlan], out_dir: Path | str) -> list[ProcessOutcome]:
+    """Launch the planned children and follow them all to outcomes, in plan order.
+
+    One select loop in the calling thread reads every child's metric pipe
+    (captured verbatim to ``out_dir/<rank>.jsonl`` and folded as it
+    arrives) and watches a pidfd of each child until it exits or its
+    timeout_s passes. Then it kills that child's whole process group, reaps
+    the child, and drains its pipe for at most DRAIN_S seconds; an
+    exception kills and reaps every child still running. Each fold, as the
+    stream gave it, goes to ``out_dir/<rank>.fold``. Classification:
+    success iff the child exited 0, its log ended in success, and it
+    gathered at least obs_min observations; a child still running at
+    timeout_s is a timeout. A gang succeeds or fails as one unit, so a
+    failed rank turns its gang's successes into errors.
     """
-    # Imported here: only run supervises a child, so report never loads them.
     import selectors
-    import subprocess
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stream_path = out_dir / f"{plan.rank}.jsonl"
-
-    read_fd, write_fd = os.pipe()
-    env = {**os.environ, **plan.env, "BENCHFORGE_METRICS_FD": str(write_fd)}
-
-    started = time.monotonic()
-    try:
-        proc = subprocess.Popen(
-            plan.command, env=env, pass_fds=(write_fd,), start_new_session=True
-        )
-    except OSError as exc:
-        os.close(read_fd)
-        os.close(write_fd)
-        stream_path.write_bytes(b"")
-        log = ObservationLog(process_id=f"{plan.bench}/{plan.rank}", message=str(exc))
-        return ProcessOutcome(plan, log, exit_code=-1, duration_s=0.0, classified="error")
-    os.close(write_fd)
-
-    pidfd = os.pidfd_open(proc.pid)
-    deadline = started + plan.timeout_s
-    fold = LogFold(f"{plan.bench}/{plan.rank}")
-    digest = hashlib.sha256()
-    exit_code = None
-    try:
-        with open(stream_path, "wb") as capture, selectors.DefaultSelector() as sel:
-            sel.register(read_fd, selectors.EVENT_READ)
-            sel.register(pidfd, selectors.EVENT_READ)
-            while sel.get_map() and (exit_code is None or time.monotonic() < deadline):
+    children: list[_Child] = []
+    with selectors.DefaultSelector() as sel:
+        try:
+            children.extend(_Child(plan, out_dir, sel) for plan in plans)
+            while live := [child for child in children if child.log is None]:
                 # epoll refuses waits over ~24 days; a later deadline is re-checked daily.
-                ready = {key.fd for key, _ in sel.select(min(deadline - time.monotonic(), 86400))}
-                if read_fd in ready:
-                    chunk = os.read(read_fd, CHUNK_BYTES)
-                    if not chunk:
-                        sel.unregister(read_fd)
-                    capture.write(chunk)
-                    digest.update(chunk)
-                    fold.feed(chunk)
-                if exit_code is None and (pidfd in ready or time.monotonic() >= deadline):
-                    timed_out = pidfd not in ready
-                    exit_code = _kill_group(proc)
-                    duration = time.monotonic() - started
-                    sel.unregister(pidfd)
-                    deadline = time.monotonic() + DRAIN_S
-            size = capture.tell()
-    finally:
-        if exit_code is None:
-            _kill_group(proc)
-        os.close(read_fd)
-        os.close(pidfd)
+                for key, _ in sel.select(min(min(child.deadline for child in live) - time.monotonic(), 86400)):
+                    if key.fd == key.data.read_fd:
+                        key.data.read(sel)
+                    else:
+                        key.data.exited = True
+                for child in live:
+                    if child.exit_code is None and (child.exited or time.monotonic() >= child.deadline):
+                        child.reap(sel)
+                    # A pipe that hit EOF first is finished in the pass that reaps its child.
+                    if child.exit_code is not None and (child.eof or time.monotonic() >= child.deadline):
+                        child.finish(sel)
+        finally:
+            for child in children:
+                if child.log is None:  # still followed when an exception ended the loop
+                    if child.exit_code is None:
+                        _kill_group(child.proc)
+                    child.close()
 
-    log = fold.finish()
-    # Written before the verdict below edits the terminal or the message.
-    stream_path.with_suffix(".fold").write_bytes(fold_sidecar(log, digest.hexdigest(), size))
-    if timed_out:
-        log.terminal = "timeout"
-        classified = "timeout"
-    elif exit_code == 0 and log.terminal == "success" and len(log.work) >= plan.obs_min:
-        classified = "success"
-    else:
-        classified = "error"
-        if exit_code == 0 and len(log.work) < plan.obs_min:
-            log.message = log.message or "insufficient observations"
-    return ProcessOutcome(plan, log, exit_code, duration, classified)
+    # A gang succeeds or fails as one unit; any failed rank fails the rest.
+    failed = {child.plan.gang_id for child in children if child.classified != "success"} - {None}
+    for child in children:
+        if child.plan.gang_id in failed and child.classified == "success":
+            child.classified, child.log.message = "error", "gang member failed"
+    return [ProcessOutcome(c.plan, c.log, c.exit_code, c.duration, c.classified) for c in children]
+
+
+def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
+    """Launch one planned child and follow it to an outcome, as ``_supervise_all`` does."""
+    return _supervise_all([plan], out_dir)[0]
 
 
 # Setup phases in order: the directory under base_dir, the stamp file, and the
@@ -573,27 +620,9 @@ def _run_bench(
         plans = plan_launches(bench, pool, base_dir)
     except ExecutorError as exc:
         record.error = str(exc)
-        record.phase_durations["run"] = time.monotonic() - started
         bench_out.mkdir(parents=True, exist_ok=True)
-        _write_outcomes(bench_out, record)
-        return record
-
-    # Imported here, its only use, so that no other command loads concurrent.futures.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=len(plans)) as executor:
-        futures = [executor.submit(supervise, plan, bench_out) for plan in plans]
-        outcomes = [f.result() for f in futures]
-    outcomes.sort(key=lambda o: o.plan.rank)
-
-    # A gang succeeds or fails as one unit; any failed rank fails the rest.
-    if bench.scale != "single-device" and any(o.classified != "success" for o in outcomes):
-        for outcome in outcomes:
-            if outcome.classified == "success":
-                outcome.classified = "error"
-                outcome.log.message = "gang member failed"
-
-    record.outcomes = outcomes
+    else:
+        record.outcomes = _supervise_all(plans, bench_out)
     record.phase_durations["run"] = time.monotonic() - started
     _write_outcomes(bench_out, record)
     return record

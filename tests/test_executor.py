@@ -9,6 +9,7 @@ import sys
 import tempfile
 import threading
 import time
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from benchforge.executor import (
+    DRAIN_S,
     FOLD_FORMAT,
     REASONS_KEPT,
     DevicePool,
@@ -515,6 +517,42 @@ class TestRun:
             load_run(run_dir)
 
 
+class TestOneSupervisionLoop:
+    @pytest.mark.parametrize("scale", ["single-device", "node-devices"])
+    def test_run_starts_no_thread(self, tmp_path, monkeypatch, scale):
+        def refuse(self):
+            raise RuntimeError("run must not start a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        _, (record,) = run(setup_suite(worker_bench(scale=scale)), POOL4, tmp_path, check_setup=False)
+        assert [o.plan.rank for o in record.outcomes] == [0, 1, 2, 3]
+        assert all(o.classified == "success" for o in record.outcomes)
+
+    def test_quick_workers_end_together(self, tmp_path):
+        _, (record,) = run(setup_suite(worker_bench()), POOL4, tmp_path, check_setup=False)
+        assert all(o.classified == "success" for o in record.outcomes)
+        assert record.phase_durations["run"] < max(o.duration_s for o in record.outcomes) + 0.5
+
+    def test_lingering_grandchild_leaves_other_ranks_alone(self, tmp_path):
+        # Rank 1 leaves a backgrounded sleep holding the metric pipe; the group kill at its exit ends it.
+        plain = worker_bench(name="plain", obs_min=5, obs_max=5)
+        linger = BenchmarkSpec(
+            name="linger",
+            run_cmd=f'sh -c "if [ {{rank}} = 1 ]; then sleep 5 & fi; '
+            f'exec {WORKER_CMD} --obs-min 5 --obs-max 5 --seed {{rank}}"',
+            obs_min=5,
+            obs_max=5,
+        )
+        _, records = run(setup_suite(plain, linger), POOL4, tmp_path, check_setup=False)
+
+        def verdicts(record):
+            return [(o.classified, o.exit_code, len(o.log.work), o.log.terminal) for o in record.outcomes]
+
+        assert verdicts(records[1]) == verdicts(records[0]) == [("success", 0, 5, "success")] * 4
+        longest = max(o.duration_s for o in records[1].outcomes)
+        assert records[1].phase_durations["run"] < longest + DRAIN_S + 0.5
+
+
 class TestLogFromEvents:
     def rate_line(self, batch, t0, t1, rate=1):
         return (
@@ -665,8 +703,16 @@ def _odd_lines(draw) -> bytes:
 
 
 # Length and sha256 of the sidecar of tests/data/protocol_corpus.jsonl.
-CORPUS_SIDECAR_BYTES = 408
-CORPUS_SIDECAR_SHA256 = "5b711473fb55ce63ace29e6a129a056f8c892e3f829c3ab8abefc55823ddcacb"
+CORPUS_SIDECAR_BYTES = 494
+CORPUS_SIDECAR_SHA256 = "4127bda46034ab91dd1ae5d25cc263da853a2ac96a9e4bba6893ff739ff607ce"
+
+
+def _scale_first_work(sidecar: bytes) -> bytes:
+    """The sidecar with its first work value ×10, edited in place: same length, same header."""
+    head, _, body = sidecar.partition(b"\n")
+    first = array("d", body[:8])
+    first[0] *= 10
+    return head + b"\n" + first.tobytes() + body[8:]
 
 
 class TestFoldSidecar:
@@ -701,8 +747,9 @@ class TestFoldSidecar:
             ),
             lambda sidecar: b"[]\n" + sidecar.partition(b"\n")[2],
             lambda sidecar: b"",
+            _scale_first_work,
         ],
-        ids=["truncated-arrays", "truncated-header", "format", "byteorder", "not-a-header", "empty"],
+        ids=["truncated-arrays", "truncated-header", "format", "byteorder", "not-a-header", "empty", "work-edited"],
     )
     def test_spoilt_sidecar_is_not_trusted(self, spoil):
         payload = (DATA_DIR / "protocol_corpus.jsonl").read_bytes()

@@ -11,8 +11,8 @@ import pytest
 import benchforge
 from benchforge.aggregate import BenchResult, RatioRow, SuiteScore
 from benchforge.design import ClassMetrics, CoverageReport, MLCMatrix
-from benchforge.executor import RunRecord
-from benchforge.protocol import MetricEvent, Observation, Rejection
+from benchforge.executor import ProcessOutcome, ProcessPlan, RunRecord
+from benchforge.protocol import MetricEvent, Observation, ObservationLog, Rejection
 from benchforge.report import ReportDocument, ReportRow
 from benchforge.suite import BenchmarkDefaults, BenchmarkSpec, CoverageTargets, SuiteConfig, TaxonomyTags
 from benchforge.worker import TimerConfig, WorkloadSpec
@@ -35,7 +35,7 @@ HARNESS_ONLY = (
 DATACLASS_ONLY = ("dataclasses", "inspect")
 
 # What no ``report`` or ``run`` needs: dataclasses, statistics and what they
-# load, the thread pool (imported by ``run`` when it starts one) and design.
+# load, a thread pool and design.
 CLI_NEVER_AT_IMPORT = (
     "dataclasses",
     "inspect",
@@ -87,6 +87,26 @@ class TestImportHygiene:
     def test_cli_import_does_not_load(self, module):
         assert module not in modules_after("import benchforge.cli")
 
+    def test_run_does_not_load_the_thread_pool(self, tmp_path):
+        suite = tmp_path / "s.yaml"
+        suite.write_text(
+            "suite: s\nbenchmarks:\n"
+            f"  - name: w\n    run_cmd: \"{sys.executable} -m benchforge.worker --obs-max 5 --seed {{rank}}\"\n"
+            "    obs_min: 5\n    obs_max: 5\n"
+        )
+        argv = ["run", "--config", str(suite), "--base-dir", str(tmp_path), "--devices", "d0,d1", "--no-setup-check"]
+        # ``run`` prints its summary on stdout, so the modules come on the last line.
+        done = fresh_python(
+            "-c",
+            f"import json, sys; from benchforge.cli import main; code = main({argv!r}); "
+            "print(json.dumps([code, sorted(sys.modules)]))",
+        )
+        assert done.returncode == 0, done.stderr
+        code, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0
+        assert "benchforge.executor" in loaded
+        assert "concurrent.futures" not in loaded
+
     def test_cli_import_loads_every_traced_layer(self):
         loaded = modules_after("import benchforge.cli")
         assert {f"benchforge.{layer}" for layer in TRACED} <= loaded
@@ -119,6 +139,9 @@ class TestPackageSurface:
             benchforge.nope
 
 
+# One plan and one log, so that two outcomes made from them compare equal.
+PLAN = ProcessPlan("b", 0, 1, "d0", {}, ("w",), 60.0, 5)
+LOG = ObservationLog("b/0")
 FROZEN = [
     (MetricEvent, "data", lambda: MetricEvent("rate", 1.0, "train", {"rate": 2.0})),
     (Rejection, "reason", lambda: Rejection("x", "not valid JSON")),
@@ -135,6 +158,7 @@ FROZEN = [
     (RatioRow, "ratio", lambda: RatioRow("b", 1.0, 2.0, 2.0)),
     (CoverageReport, "deviation", lambda: CoverageReport({"domains": {"NLP": 1.0}}, {}, 1.0)),
     (ClassMetrics, "recall", lambda: ClassMetrics(("A",), {"A": 50.0}, {"A": None})),
+    (ProcessOutcome, "classified", lambda: ProcessOutcome(PLAN, LOG, 0, 1.0, "success")),
 ]
 FROZEN_IDS = [cls.__name__ for cls, _, _ in FROZEN]
 
