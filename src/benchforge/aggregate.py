@@ -48,19 +48,12 @@ class BenchResult(_BenchResultFields):
         return super().__new__(cls, bench, weight, perf, success_rate)
 
 
-class _SuiteScoreFields(NamedTuple):
+class SuiteScore(NamedTuple):
+    """The global score, each weighted benchmark's term of its log, and their total weight."""
+
     score: float
     contributions: dict[str, float]
     total_weight: float
-
-
-class SuiteScore(_SuiteScoreFields):
-    """The global score. ``contributions`` defaults to a fresh ``{}``."""
-
-    __slots__ = ()
-
-    def __new__(cls, score: float, contributions: dict[str, float] | None = None, total_weight: float = 0.0):
-        return super().__new__(cls, score, {} if contributions is None else contributions, total_weight)
 
 
 class RatioRow(NamedTuple):

@@ -34,7 +34,9 @@ from .protocol import (
     StreamDecoder,
     StreamItem,
 )
-from .suite import BenchmarkSpec, SuiteConfig, SuiteError, render_suite, text_sha256, validate_suite
+from .suite import (
+    BenchmarkSpec, SuiteConfig, SuiteError, render_suite, resolve_command, text_sha256, validate_suite,
+)
 
 INSTALL_STAMP = ".installed"
 PREPARE_STAMP = ".prepared"
@@ -102,48 +104,13 @@ class ProcessOutcome(NamedTuple):
     classified: str  # one of {success, error, timeout}
 
 
-class RunRecord:
-    __slots__ = ("bench", "outcomes", "phase_durations", "error")
+class RunRecord(NamedTuple):
+    """What ``run`` did for one benchmark: outcomes in plan order, phase timings, any plan error."""
 
-    def __init__(
-        self,
-        bench: str,
-        outcomes: list[ProcessOutcome] | None = None,
-        phase_durations: dict[str, float] | None = None,
-        error: str | None = None,
-    ) -> None:
-        self.bench = bench
-        self.outcomes = [] if outcomes is None else outcomes
-        self.phase_durations = {} if phase_durations is None else phase_durations
-        self.error = error
-
-
-def _resolve(template: str, values: dict[str, object]) -> tuple[str, ...]:
-    import shlex
-
-    try:
-        return tuple(shlex.split(template.format_map(values)))
-    except (KeyError, ValueError) as exc:
-        raise ExecutorError(f"cannot resolve command template {template!r}: {exc}") from exc
-
-
-def _placeholder_values(
-    base_dir: Path,
-    bench_dir: Path,
-    device_id: str = "",
-    device_count: int = 0,
-    rank: int = 0,
-    world_size: int = 1,
-) -> dict[str, object]:
-    """Values of the command placeholders; the defaults are those of install and prepare."""
-    return {
-        "device_id": device_id,
-        "device_count": device_count,
-        "rank": rank,
-        "world_size": world_size,
-        "base_dir": str(base_dir),
-        "bench_dir": str(bench_dir),
-    }
+    bench: str
+    outcomes: list[ProcessOutcome]
+    phase_durations: dict[str, float]
+    error: str | None = None
 
 
 def plan_launches(
@@ -178,7 +145,6 @@ def plan_launches(
     world_size = len(devices)
     plans: list[ProcessPlan] = []
     for rank, device in enumerate(devices):
-        values = _placeholder_values(base_dir, bench_dir, device, 1, rank, world_size)
         env = dict(spec.env)
         env.update(
             {
@@ -200,7 +166,7 @@ def plan_launches(
                 world_size=world_size,
                 device=device,
                 env=env,
-                command=_resolve(spec.run_cmd, values),
+                command=resolve_command(spec.run_cmd, base_dir, bench_dir, device, 1, rank, world_size),
                 timeout_s=spec.timeout_s,
                 obs_min=spec.obs_min,
                 gang_id=gang_id,
@@ -523,7 +489,7 @@ def _setup_phase(cfg: SuiteConfig, base_dir: Path, phase: str) -> dict[str, str]
             continue
         bench_dir = base_dir / subdir / bench.name
         bench_dir.mkdir(parents=True, exist_ok=True)
-        argv = _resolve(command, _placeholder_values(base_dir, bench_dir))
+        argv = resolve_command(command, base_dir, bench_dir)
         try:
             result = subprocess.run(
                 argv,
@@ -613,17 +579,17 @@ def run(
 def _run_bench(
     bench: BenchmarkSpec, pool: DevicePool, base_dir: Path, run_dir: Path
 ) -> RunRecord:
-    record = RunRecord(bench=bench.name)
     bench_out = run_dir / bench.name
     started = time.monotonic()
+    outcomes, error = [], None
     try:
         plans = plan_launches(bench, pool, base_dir)
     except ExecutorError as exc:
-        record.error = str(exc)
+        error = str(exc)
         bench_out.mkdir(parents=True, exist_ok=True)
     else:
-        record.outcomes = _supervise_all(plans, bench_out)
-    record.phase_durations["run"] = time.monotonic() - started
+        outcomes = _supervise_all(plans, bench_out)
+    record = RunRecord(bench.name, outcomes, {"run": time.monotonic() - started}, error)
     _write_outcomes(bench_out, record)
     return record
 
@@ -701,9 +667,8 @@ def load_run(run_dir: Path | str) -> LoadedRun:
         outcomes_path = bench_dir / "outcomes.json"
         if not outcomes_path.exists():
             raise ExecutorError(f"{run_dir} is incomplete: benchmark {bench.name!r} has no outcomes.json")
-        record = RunRecord(bench=bench.name)
         payload = json.loads(outcomes_path.read_text(encoding="utf-8"))
-        record.error = payload.get("error")
+        outcomes = []
         for row in payload["outcomes"]:
             rank = row["rank"]
             log = _load_log(bench_dir / f"{rank}.jsonl", f"{bench.name}/{rank}")
@@ -718,16 +683,9 @@ def load_run(run_dir: Path | str) -> LoadedRun:
                 obs_min=bench.obs_min,
                 gang_id=row.get("gang_id"),
             )
-            record.outcomes.append(
-                ProcessOutcome(
-                    plan=plan,
-                    log=log,
-                    exit_code=row["exit_code"],
-                    duration_s=row["duration_s"],
-                    classified=row["classified"],
-                )
-            )
-        records[bench.name] = record
+            outcomes.append(ProcessOutcome(plan, log, row["exit_code"], row["duration_s"], row["classified"]))
+        # report reads no phase timing, so none is loaded.
+        records[bench.name] = RunRecord(bench.name, outcomes, {}, payload.get("error"))
     return LoadedRun(meta=meta, suite=suite, records=records)
 
 

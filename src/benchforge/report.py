@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+from typing import NamedTuple
 
 from .aggregate import BenchResult, ratio_to_baseline, suite_score
 
@@ -19,51 +20,32 @@ class ReportError(ValueError):
     pass
 
 
-class Cell:
-    __slots__ = ("perf", "success_rate", "ratio")
-
-    def __init__(self, perf: float | None, success_rate: float, ratio: float | None = None) -> None:
-        self.perf = perf
-        self.success_rate = success_rate
-        self.ratio = ratio
+class Cell(NamedTuple):
+    perf: float | None
+    success_rate: float
+    ratio: float | None = None
 
 
-class ReportRow:
-    __slots__ = ("bench", "weight", "cells")
-
-    def __init__(self, bench: str, weight: float, cells: dict[str, Cell] | None = None) -> None:
-        self.bench = bench
-        self.weight = weight
-        self.cells = {} if cells is None else cells
+class ReportRow(NamedTuple):
+    bench: str
+    weight: float
+    cells: dict[str, Cell]
 
 
-class GlobalCell:
-    __slots__ = ("score", "total_weight", "ratio")
-
-    def __init__(self, score: float, total_weight: float, ratio: float | None = None) -> None:
-        self.score = score
-        self.total_weight = total_weight
-        self.ratio = ratio
+class GlobalCell(NamedTuple):
+    score: float
+    total_weight: float
+    ratio: float | None = None
 
 
-class ReportDocument:
+class ReportDocument(NamedTuple):
     """Merged rows plus per-system global scores; row order = suite order."""
 
-    __slots__ = ("systems", "baseline", "rows", "global_scores", "metadata")
-
-    def __init__(
-        self,
-        systems: list[str],
-        baseline: str | None,
-        rows: list[ReportRow],
-        global_scores: dict[str, GlobalCell],
-        metadata: dict | None = None,
-    ) -> None:
-        self.systems = systems
-        self.baseline = baseline
-        self.rows = rows
-        self.global_scores = global_scores
-        self.metadata = {} if metadata is None else metadata
+    systems: list[str]
+    baseline: str | None
+    rows: list[ReportRow]
+    global_scores: dict[str, GlobalCell]
+    metadata: dict
 
 
 def render_report(
@@ -96,28 +78,25 @@ def render_report(
     by_system = {s: {r.bench: r for r in results[s]} for s in systems}
     rows: list[ReportRow] = []
     for bench_ref in reference:
-        row = ReportRow(bench=bench_ref.bench, weight=bench_ref.weight)
+        cells: dict[str, Cell] = {}
         for system in systems:
             result = by_system[system][bench_ref.bench]
             ratio = None
             if baseline is not None and system != baseline:
                 ratio = ratio_to_baseline(result, by_system[baseline][bench_ref.bench]).ratio
-            row.cells[system] = Cell(
+            cells[system] = Cell(
                 perf=result.perf if result.success_rate > 0 else None,
                 success_rate=result.success_rate,
                 ratio=ratio,
             )
-        rows.append(row)
+        rows.append(ReportRow(bench=bench_ref.bench, weight=bench_ref.weight, cells=cells))
 
+    scores = {system: suite_score(results[system]) for system in systems}
+    base_score = scores[baseline].score if baseline is not None else 0.0
     global_scores: dict[str, GlobalCell] = {}
-    for system in systems:
-        score = suite_score(results[system])
-        global_scores[system] = GlobalCell(score=score.score, total_weight=score.total_weight)
-    if baseline is not None:
-        base_score = global_scores[baseline].score
-        for system in systems:
-            if system != baseline and base_score > 0:
-                global_scores[system].ratio = global_scores[system].score / base_score
+    for system, score in scores.items():
+        ratio = score.score / base_score if system != baseline and base_score > 0 else None
+        global_scores[system] = GlobalCell(score=score.score, total_weight=score.total_weight, ratio=ratio)
 
     return ReportDocument(
         systems=systems,

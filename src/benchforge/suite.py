@@ -30,17 +30,6 @@ DEFAULT_TIMEOUT_S = 300.0
 # mutually exclusive dimension: every benchmark has exactly one size class.
 TAG_DIMENSIONS = ("domains", "architectures", "model_sizes", "parallelism", "libraries")
 
-# Placeholders command templates may use; anything else is a config error.
-COMMAND_PLACEHOLDERS = (
-    "device_id",
-    "device_count",
-    "rank",
-    "world_size",
-    "base_dir",
-    "bench_dir",
-)
-
-
 class SuiteError(ValueError):
     """Raised for malformed or inconsistent suite documents."""
 
@@ -70,17 +59,10 @@ class BenchmarkDefaults(NamedTuple):
     timeout_s: float = DEFAULT_TIMEOUT_S
 
 
-class _CoverageTargetsFields(NamedTuple):
+class CoverageTargets(NamedTuple):
+    """Target proportion per column, per design dimension."""
+
     dimensions: dict[str, dict[str, float]]
-
-
-class CoverageTargets(_CoverageTargetsFields):
-    """Target proportion per column, per design dimension. ``dimensions`` defaults to a fresh ``{}``."""
-
-    __slots__ = ()
-
-    def __new__(cls, dimensions: dict[str, dict[str, float]] | None = None):
-        return super().__new__(cls, {} if dimensions is None else dimensions)
 
 
 class _BenchmarkSpecFields(NamedTuple):
@@ -141,8 +123,8 @@ def parse_suite(text: str) -> SuiteConfig:
     Raises:
         SuiteError: on YAML syntax errors (position reported), a part that
             is not a mapping or list, unknown keys, wrongly typed or
-            non-finite values, a missing name, duplicate names, unknown
-            command placeholders, or a ``validate_suite`` violation.
+            non-finite values, a missing name, or a ``validate_suite``
+            violation.
     """
     try:
         raw = yaml.load(text, Loader=_Loader)
@@ -167,18 +149,9 @@ def parse_suite(text: str) -> SuiteConfig:
     if not isinstance(raw_benchmarks, list):
         raise SuiteError("'benchmarks' must be a list")
 
-    benchmarks: list[BenchmarkSpec] = []
-    seen: set[str] = set()
-    for i, item in enumerate(raw_benchmarks):
-        bench = _parse_benchmark(item, i, defaults)
-        if bench.name in seen:
-            raise SuiteError(f"duplicate benchmark name {bench.name!r}")
-        seen.add(bench.name)
-        benchmarks.append(bench)
-
     cfg = SuiteConfig(
         suite_name=suite_name.strip(),
-        benchmarks=tuple(benchmarks),
+        benchmarks=tuple(_parse_benchmark(item, i, defaults) for i, item in enumerate(raw_benchmarks)),
         defaults=defaults,
         targets=targets,
     )
@@ -205,8 +178,15 @@ def validate_suite(cfg: SuiteConfig) -> list[str]:
     if not cfg.benchmarks:
         violations.append("suite: at least one benchmark required")
     violations.extend(_entry_violations("defaults", cfg.defaults))
+    seen: set[str] = set()
     for bench in cfg.benchmarks:
         where = f"benchmark {bench.name!r}"
+        # The name is a directory under runs/<stamp>/, envs/ and data/: one path component.
+        if bench.name in ("", ".", "..") or "/" in bench.name or "\0" in bench.name:
+            violations.append(f"{where}: name must be one path component (not empty, '.' or '..', no '/' or NUL)")
+        if bench.name in seen:
+            violations.append(f"duplicate benchmark name {bench.name!r}")
+        seen.add(bench.name)
         if not math.isfinite(bench.weight):
             violations.append(f"{where}: weight must be finite, got {bench.weight}")
         elif bench.weight < 0:
@@ -214,6 +194,11 @@ def validate_suite(cfg: SuiteConfig) -> list[str]:
         violations.extend(_entry_violations(where, bench))
         if not bench.run_cmd.strip():
             violations.append(f"{where}: run_cmd must be non-empty")
+        for field in ("install_cmd", "prepare_cmd", "run_cmd"):
+            try:  # the defaults have the types run gives, so what resolves here resolves there
+                resolve_command(getattr(bench, field))
+            except SuiteError as exc:
+                violations.append(f"{where}: {field}: {exc}")
         if not bench.unit_of_work:
             violations.append(f"{where}: unit_of_work must be non-empty")
         if bench.scale not in SCALE_MODES:
@@ -256,6 +241,57 @@ def _validate_targets(targets: CoverageTargets) -> list[str]:
                     f"targets.model_sizes: proportions must sum to 1, got {total!r}"
                 )
     return violations
+
+
+def resolve_command(
+    template: str,
+    base_dir: Any = "",
+    bench_dir: Any = "",
+    device_id: str = "",
+    device_count: int = 0,
+    rank: int = 0,
+    world_size: int = 1,
+) -> tuple[str, ...]:
+    """Split ``template`` like a shell line, then fill in the placeholders of each word.
+
+    The placeholders are the parameters after ``template``; the defaults of
+    the device ones are those of install and prepare. A value is never
+    split or unquoted, so a base dir with a space stays one word. A field
+    names a placeholder exactly (``{rank}``, not ``{rank[0]}``) and may
+    carry a conversion and a format spec that its value accepts
+    (``{rank:03d}``).
+
+    Raises:
+        SuiteError: on an unclosed quote, an unbalanced brace, an unknown
+            placeholder, or a conversion or format spec its value refuses.
+    """
+    import shlex
+    from string import Formatter
+
+    values = {
+        "device_id": device_id,
+        "device_count": device_count,
+        "rank": rank,
+        "world_size": world_size,
+        "base_dir": str(base_dir),
+        "bench_dir": str(bench_dir),
+    }
+    formatter = Formatter()
+    try:
+        words = []
+        for word in shlex.split(template):
+            parts = []
+            for literal, field, spec, conversion in formatter.parse(word):
+                parts.append(literal)
+                if field is not None:
+                    parts.append(format(formatter.convert_field(values[field], conversion), spec))
+            words.append("".join(parts))
+    except KeyError as exc:
+        allowed = ", ".join("{" + name + "}" for name in values)
+        raise SuiteError(f"unknown placeholder {{{exc.args[0]}}}; allowed: {allowed}") from None
+    except ValueError as exc:
+        raise SuiteError(f"malformed command template: {exc}") from None
+    return tuple(words)
 
 
 def select_benchmarks(cfg: SuiteConfig, selector: str) -> SuiteConfig:
@@ -385,9 +421,9 @@ def _parse_defaults(raw: Any) -> BenchmarkDefaults:
         raise SuiteError("'defaults' must be a mapping")
     _check_keys(raw, BenchmarkDefaults._fields, "defaults")
     return BenchmarkDefaults(
-        obs_min=_int_field(raw, "obs_min", "defaults", DEFAULT_OBS_MIN),
-        obs_max=_int_field(raw, "obs_max", "defaults", DEFAULT_OBS_MAX),
-        timeout_s=_number_field(raw, "timeout_s", "defaults", DEFAULT_TIMEOUT_S),
+        obs_min=_read(raw, "obs_min", "defaults", DEFAULT_OBS_MIN),
+        obs_max=_read(raw, "obs_max", "defaults", DEFAULT_OBS_MAX),
+        timeout_s=_read(raw, "timeout_s", "defaults", DEFAULT_TIMEOUT_S),
     )
 
 
@@ -422,31 +458,24 @@ def _parse_benchmark(item: Any, index: int, defaults: BenchmarkDefaults) -> Benc
     name = name.strip()
     context = f"benchmarks[{index}] ({name})"
 
-    enabled = item.get("enabled", True)
-    if not isinstance(enabled, bool):
-        raise SuiteError(f"{context}: 'enabled' must be a boolean")
-
     env_raw = item.get("env") or {}
     if not isinstance(env_raw, dict):
         raise SuiteError(f"{context}: 'env' must be a mapping")
 
-    commands: dict[str, str] = {}
-    for key in ("install_cmd", "prepare_cmd", "run_cmd"):
-        commands[key] = _str_field(item, key, context, "")
-        _check_command_template(commands[key], f"{context}.{key}")
-
     return BenchmarkSpec(
         name=name,
-        weight=_number_field(item, "weight", context, 1.0),
-        enabled=enabled,
-        scale=_str_field(item, "scale", context, "single-device"),
+        weight=_read(item, "weight", context, 1.0),
+        enabled=_read(item, "enabled", context, True),
+        scale=_read(item, "scale", context, "single-device"),
+        install_cmd=_read(item, "install_cmd", context, ""),
+        prepare_cmd=_read(item, "prepare_cmd", context, ""),
+        run_cmd=_read(item, "run_cmd", context, ""),
         env={str(k): str(v) for k, v in env_raw.items()},
-        unit_of_work=_str_field(item, "unit_of_work", context, "items"),
-        obs_min=_int_field(item, "obs_min", context, defaults.obs_min),
-        obs_max=_int_field(item, "obs_max", context, defaults.obs_max),
-        timeout_s=_number_field(item, "timeout_s", context, defaults.timeout_s),
+        unit_of_work=_read(item, "unit_of_work", context, "items"),
+        obs_min=_read(item, "obs_min", context, defaults.obs_min),
+        obs_max=_read(item, "obs_max", context, defaults.obs_max),
+        timeout_s=_read(item, "timeout_s", context, defaults.timeout_s),
         tags=_parse_tags(item.get("tags"), context),
-        **commands,
     )
 
 
@@ -477,44 +506,25 @@ def _parse_tags(raw: Any, context: str) -> TaxonomyTags | None:
     )
 
 
-def _check_command_template(cmd: str, context: str) -> None:
-    try:
-        cmd.format_map(_PlaceholderCheck())
-    except KeyError as exc:
-        raise SuiteError(
-            f"{context}: unknown placeholder {{{exc.args[0]}}}; "
-            f"allowed: {', '.join('{' + p + '}' for p in COMMAND_PLACEHOLDERS)}"
-        ) from None
-    except ValueError as exc:
-        raise SuiteError(f"{context}: malformed command template: {exc}") from None
+# What a field read with a default of each type accepts, and how its message names that.
+_ACCEPTED = {
+    bool: (bool, "a boolean"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+}
 
 
-class _PlaceholderCheck(dict):
-    def __missing__(self, key: str) -> str:
-        if key in COMMAND_PLACEHOLDERS:
-            return ""
-        raise KeyError(key)
-
-
-def _int_field(raw: dict[str, Any], key: str, context: str, default: int) -> int:
+def _read(raw: dict[str, Any], key: str, context: str, default: Any) -> Any:
+    """``raw[key]``, or ``default`` when absent; it must be of the default's type (an int is a number)."""
     value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SuiteError(f"{context}: '{key}' must be an integer")
-    return value
-
-
-def _number_field(raw: dict[str, Any], key: str, context: str, default: float) -> float:
-    value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SuiteError(f"{context}: '{key}' must be a number")
-    # Also a rule of validate_suite, for configs built in code; here YAML's .nan and .inf stop.
-    if not math.isfinite(value):
-        raise SuiteError(f"{context}: '{key}' must be a finite number, got {value}")
-    return float(value)
-
-
-def _str_field(raw: dict[str, Any], key: str, context: str, default: str) -> str:
-    value = raw.get(key, default)
-    if not isinstance(value, str):
-        raise SuiteError(f"{context}: '{key}' must be a string")
+    kind = type(default)
+    accepted, noun = _ACCEPTED[kind]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise SuiteError(f"{context}: '{key}' must be {noun}")
+    if kind is float:
+        # Also a rule of validate_suite, for configs built in code; here YAML's .nan and .inf stop.
+        if not math.isfinite(value):
+            raise SuiteError(f"{context}: '{key}' must be a finite number, got {value}")
+        return float(value)
     return value

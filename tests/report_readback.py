@@ -58,7 +58,7 @@ def document_from_csv(text: str, metadata: dict | None = None) -> ReportDocument
                 score=float(record[3]), total_weight=float(record[2]), ratio=ratio
             )
             continue
-        row = row_map.setdefault(bench, ReportRow(bench=bench, weight=float(record[2])))
+        row = row_map.setdefault(bench, ReportRow(bench=bench, weight=float(record[2]), cells={}))
         row.cells[system] = Cell(
             perf=num(record[3]),
             success_rate=float(record[4]) if record[4] else 0.0,

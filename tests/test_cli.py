@@ -321,6 +321,72 @@ class TestSelectAndErrors:
         assert rc == 3
 
 
+class TestTemplatesAndNames:
+    @pytest.mark.parametrize("field", ["rank[0]", "rank.x"])
+    def test_field_that_is_no_placeholder_is_config_error(self, tmp_path, capsys, field):
+        suite = tmp_path / "s.yaml"
+        suite.write_text(f"suite: s\nbenchmarks:\n  - {{name: a, run_cmd: 'w {{{field}}}'}}\n")
+        base = tmp_path / "w"
+        assert main(["run", "--config", str(suite), "--base-dir", str(base), "--no-setup-check"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"benchforge: benchmark 'a': run_cmd: unknown placeholder {{{field}}}; allowed: ")
+        assert err.count("\n") == 1
+        assert not (base / "runs").exists()
+
+    def test_unclosed_quote_is_config_error_before_the_run_dir(self, tmp_path, capsys):
+        suite = tmp_path / "s.yaml"
+        suite.write_text("suite: s\nbenchmarks:\n  - {name: a, run_cmd: \"w 'unclosed\"}\n")
+        base = tmp_path / "w"
+        assert main(["run", "--config", str(suite), "--base-dir", str(base), "--no-setup-check"]) == 4
+        assert capsys.readouterr().err == (
+            "benchforge: benchmark 'a': run_cmd: malformed command template: No closing quotation\n"
+        )
+        assert not (base / "runs").exists()
+
+    def test_format_spec_that_fits_is_accepted(self, tmp_path):
+        suite = tmp_path / "s.yaml"
+        suite.write_text(
+            "suite: s\nbenchmarks:\n"
+            f"  - name: pad\n    run_cmd: \"{WORKER_CMD} --obs-min 5 --obs-max 5 --seed {{rank:03d}}\"\n"
+            "    obs_min: 5\n    obs_max: 5\n"
+        )
+        base = tmp_path / "w"
+        argv = ["run", "--config", str(suite), "--base-dir", str(base), "--devices", "d0,d1", "--no-setup-check"]
+        assert main(argv) == 0
+
+    def test_base_dir_with_a_space_stays_one_word_in_prepare(self, tmp_path, capsys):
+        script = tmp_path / "argv.py"
+        script.write_text("import json, sys\nopen('argv.json', 'w').write(json.dumps(sys.argv[1:]))\n")
+        suite = tmp_path / "s.yaml"
+        suite.write_text(
+            "suite: s\nbenchmarks:\n"
+            f"  - name: a\n    run_cmd: w\n    prepare_cmd: \"'{sys.executable}' '{script}' {{bench_dir}} {{base_dir}}\"\n"
+        )
+        base = tmp_path / "sp ace"
+        assert main(["prepare", "--config", str(suite), "--base-dir", str(base)]) == 0
+        assert capsys.readouterr().out == "a: done\n"
+        bench_dir = base / "data" / "a"
+        assert json.loads((bench_dir / "argv.json").read_text()) == [str(bench_dir), str(base)]
+
+    @pytest.mark.parametrize("command", ["install", "prepare", "run"])
+    def test_path_name_is_config_error_and_writes_nothing(self, tmp_path, capsys, command):
+        suite = tmp_path / "s.yaml"
+        suite.write_text(
+            "suite: s\ndefaults: {obs_min: 5, obs_max: 5}\nbenchmarks:\n"
+            f"  - name: ../../escaped\n    run_cmd: \"{WORKER_CMD} --obs-min 5 --obs-max 5\"\n"
+            "    install_cmd: 'true'\n    prepare_cmd: 'true'\n"
+        )
+        base = tmp_path / "a" / "w"
+        base.mkdir(parents=True)
+        argv = [command, "--config", str(suite), "--base-dir", str(base)]
+        assert main(argv + (["--no-setup-check"] if command == "run" else [])) == 4
+        assert capsys.readouterr().err == (
+            "benchforge: benchmark '../../escaped': name must be one path component"
+            " (not empty, '.' or '..', no '/' or NUL)\n"
+        )
+        assert set(tmp_path.rglob("*")) == {suite, tmp_path / "a", base}
+
+
 class TestDesignCLI:
     def test_coverage_json(self, tmp_path, capsys):
         rc = main(["design", "--config", "configs/reference-suite.yaml", "--format", "json"])

@@ -45,7 +45,7 @@ from benchforge.protocol import (
     encode_event,
     read_stream,
 )
-from benchforge.suite import BenchmarkSpec, SuiteConfig, parse_suite
+from benchforge.suite import BenchmarkSpec, SuiteConfig, SuiteError, parse_suite
 
 from conftest import DATA_DIR, WORKER_CMD
 from test_protocol import chop
@@ -136,6 +136,16 @@ class TestPlanLaunches:
             str(tmp_path),
             str(tmp_path / "data" / "ph"),
         )
+
+    def test_base_dir_with_a_space_stays_one_word(self, tmp_path):
+        base = tmp_path / "sp ace"
+        bench = BenchmarkSpec(name="ph", run_cmd="w {base_dir} --data {bench_dir}/x")
+        (plan,) = plan_launches(bench, POOL1, base)
+        assert plan.command == ("w", str(base), "--data", f"{base / 'data' / 'ph'}/x")
+
+    def test_format_spec_is_applied(self):
+        plans = plan_launches(BenchmarkSpec(name="p", run_cmd="w {rank:03d}"), POOL4)
+        assert [p.command for p in plans] == [("w", f"{rank:03d}") for rank in range(4)]
 
 
 class TestSupervise:
@@ -366,6 +376,27 @@ class TestRun:
         assert (run_dir / "suite.yaml").exists()
         assert (run_dir / "one" / "3.jsonl").exists()
         assert (run_dir / "one" / "outcomes.json").exists()
+
+    @pytest.mark.parametrize(
+        "benches, violation",
+        [
+            (
+                (BenchmarkSpec(name="q", run_cmd="w 'unclosed"),),
+                "benchmark 'q': run_cmd: malformed command template: No closing quotation",
+            ),
+            ((worker_bench(name="a"), worker_bench(name="a")), "duplicate benchmark name 'a'"),
+            (
+                (worker_bench(name="../escaped"),),
+                "benchmark '../escaped': name must be one path component (not empty, '.' or '..', no '/' or NUL)",
+            ),
+        ],
+        ids=["template", "duplicate", "path"],
+    )
+    def test_invalid_in_code_suite_is_refused_before_the_run_dir(self, tmp_path, benches, violation):
+        with pytest.raises(SuiteError) as err:
+            run(SuiteConfig("s", benches), POOL1, tmp_path, check_setup=False)
+        assert str(err.value) == violation
+        assert not (tmp_path / "runs").exists()
 
     def test_crashing_bench_never_aborts_suite(self, tmp_path):
         cfg = setup_suite(

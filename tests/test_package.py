@@ -13,7 +13,7 @@ from benchforge.aggregate import BenchResult, RatioRow, SuiteScore
 from benchforge.design import ClassMetrics, CoverageReport, MLCMatrix
 from benchforge.executor import ProcessOutcome, ProcessPlan, RunRecord
 from benchforge.protocol import MetricEvent, Observation, ObservationLog, Rejection
-from benchforge.report import ReportDocument, ReportRow
+from benchforge.report import Cell, GlobalCell, ReportDocument, ReportRow
 from benchforge.suite import BenchmarkDefaults, BenchmarkSpec, CoverageTargets, SuiteConfig, TaxonomyTags
 from benchforge.worker import TimerConfig, WorkloadSpec
 from conftest import REPO_DIR
@@ -46,7 +46,8 @@ CLI_NEVER_AT_IMPORT = (
     "benchforge.design",
 )
 
-# What only ``run``, ``install`` and ``prepare`` use: loaded when a child is started, never by ``report``.
+# What the CLI imports only when a command needs it: subprocess, selectors and
+# signal when a child is started, shlex when a suite's command templates are checked.
 RUN_ONLY = ("subprocess", "selectors", "signal", "shlex")
 
 # Every module the benchmark's tracer wraps must still load with the CLI.
@@ -159,6 +160,11 @@ FROZEN = [
     (CoverageReport, "deviation", lambda: CoverageReport({"domains": {"NLP": 1.0}}, {}, 1.0)),
     (ClassMetrics, "recall", lambda: ClassMetrics(("A",), {"A": 50.0}, {"A": None})),
     (ProcessOutcome, "classified", lambda: ProcessOutcome(PLAN, LOG, 0, 1.0, "success")),
+    (RunRecord, "outcomes", lambda: RunRecord("b", [], {"run": 1.0}, "no plan")),
+    (Cell, "perf", lambda: Cell(2.0, 1.0, 0.5)),
+    (ReportRow, "cells", lambda: ReportRow("b", 1.0, {"s": Cell(2.0, 1.0)})),
+    (GlobalCell, "ratio", lambda: GlobalCell(2.0, 1.0, 0.5)),
+    (ReportDocument, "metadata", lambda: ReportDocument(["s"], None, [], {"s": GlobalCell(2.0, 1.0)}, {"k": 1})),
 ]
 FROZEN_IDS = [cls.__name__ for cls, _, _ in FROZEN]
 
@@ -199,14 +205,8 @@ class TestValueTypes:
 
 # Every converted type with a defaulted container field, and how to build one without it.
 FRESH_DEFAULTS = [
-    (CoverageTargets, "dimensions", lambda: CoverageTargets()),
     (BenchmarkSpec, "env", lambda: BenchmarkSpec(name="b")),
     (BenchmarkSpec, "env", lambda: BenchmarkSpec("b", 1.0, True, "single-device", "", "", "w")),
-    (SuiteScore, "contributions", lambda: SuiteScore(1.0)),
-    (RunRecord, "outcomes", lambda: RunRecord(bench="b")),
-    (RunRecord, "phase_durations", lambda: RunRecord(bench="b")),
-    (ReportRow, "cells", lambda: ReportRow(bench="b", weight=1.0)),
-    (ReportDocument, "metadata", lambda: ReportDocument(["s"], None, [], {})),
     (MLCMatrix, "counts", lambda: MLCMatrix(classes=("A", "B"))),
 ]
 

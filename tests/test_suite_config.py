@@ -19,6 +19,7 @@ from benchforge.suite import (
     TaxonomyTags,
     parse_suite,
     render_suite,
+    resolve_command,
     select_benchmarks,
     validate_suite,
 )
@@ -217,6 +218,66 @@ class TestValidate:
         assert str(err.value) == expected
 
 
+class TestCommandTemplates:
+    @pytest.mark.parametrize("field", ["rank[0]", "rank.x", "base_dir[0]", "", "0", "gpu"])
+    def test_a_field_must_name_a_placeholder_exactly(self, field):
+        with pytest.raises(SuiteError, match=r"benchmark 'a': run_cmd: unknown placeholder"):
+            parse_suite(f"suite: s\nbenchmarks:\n  - {{name: a, run_cmd: 'w {{{field}}}'}}\n")
+
+    @pytest.mark.parametrize(
+        "template, reason",
+        [
+            ("w 'unclosed", "No closing quotation"),
+            ("w {rank", "expected '}'"),
+            ("w {device_id:d}", "Unknown format code 'd'"),
+            ("w {rank!x}", "Unknown conversion"),
+        ],
+    )
+    @pytest.mark.parametrize("field", ["install_cmd", "prepare_cmd", "run_cmd"])
+    def test_malformed_template_is_a_violation(self, field, template, reason):
+        commands = {"run_cmd": "w", field: template}
+        cfg = SuiteConfig("s", (BenchmarkSpec(name="a", **commands),))
+        (violation,) = validate_suite(cfg)
+        assert violation.startswith(f"benchmark 'a': {field}: malformed command template: ")
+        assert reason in violation
+        with pytest.raises(SuiteError) as err:
+            parse_suite(render_suite(cfg))
+        assert str(err.value) == violation
+
+    def test_format_spec_that_fits_the_value_is_accepted(self):
+        cfg = parse_suite("suite: s\nbenchmarks:\n  - {name: a, run_cmd: 'w --id {rank:03d} {world_size!s:>2}'}\n")
+        assert resolve_command(cfg.benchmarks[0].run_cmd, rank=7, world_size=8) == ("w", "--id", "007", " 8")
+
+    def test_words_are_split_before_they_are_filled(self):
+        argv = resolve_command("w --out '{bench_dir}/x y' {base_dir}", "/a b", "/a b/data/n")
+        assert argv == ("w", "--out", "/a b/data/n/x y", "/a b")
+
+    def test_literal_braces_survive(self):
+        assert resolve_command("w {{rank}} {rank}", rank=2) == ("w", "{rank}", "2")
+
+
+class TestBenchmarkNames:
+    def test_in_code_duplicates_are_a_violation(self):
+        cfg = SuiteConfig("s", (BenchmarkSpec(name="a", run_cmd="w"), BenchmarkSpec(name="a", run_cmd="v")))
+        assert validate_suite(cfg) == ["duplicate benchmark name 'a'"]
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../../escaped", "a/b", "/abs", "a\0b"])
+    def test_name_must_be_one_path_component(self, name):
+        cfg = SuiteConfig("s", (BenchmarkSpec(name=name, run_cmd="w"),))
+        assert validate_suite(cfg) == [
+            f"benchmark {name!r}: name must be one path component (not empty, '.' or '..', no '/' or NUL)"
+        ]
+
+    @pytest.mark.parametrize("name", ["'../../escaped'", "'..'", "'a/b'", '"a\\0b"'])
+    def test_parse_refuses_a_path_name(self, name):
+        with pytest.raises(SuiteError, match="name must be one path component"):
+            parse_suite(f"suite: s\nbenchmarks:\n  - {{name: {name}, run_cmd: w}}\n")
+
+    @pytest.mark.parametrize("name", ["a.b", "...", "-x_1", "名前", "a b"])
+    def test_other_names_are_accepted(self, name):
+        assert validate_suite(SuiteConfig("s", (BenchmarkSpec(name=name, run_cmd="w"),))) == []
+
+
 class TestSelect:
     def test_star_is_identity(self, reference_suite):
         assert select_benchmarks(reference_suite, "*") == reference_suite
@@ -339,9 +400,10 @@ class TestRoundTrip:
         assert reference_suite.sha256() == "309fa8ef850feb85160581e4f55f33282e7aa7632f92d7a6e67873455a3723e1"
 
 
-# Suites of valid shape (types, names, placeholders) whose values stray
-# over and past every rule of validate_suite. Numbers are finite: parsing
-# refuses a YAML .nan or .inf with its own message, pinned in TestParse.
+# Suites of valid shape (types, non-empty names) whose values stray over
+# and past every rule of validate_suite: names, templates and numbers.
+# Numbers are finite: parsing refuses a YAML .nan or .inf with its own
+# message, pinned in TestParse.
 _words = st.text(alphabet="abcxyz019-_", min_size=1, max_size=6)
 _labels = st.frozensets(st.sampled_from(["NLP", "CV", "RL", "torch", "jax"]), max_size=3)
 _counts = st.integers(min_value=-2, max_value=80)
@@ -359,13 +421,13 @@ _tags = st.builds(
 )
 _benchmarks = st.builds(
     BenchmarkSpec,
-    name=_words,
+    name=_words | st.sampled_from(["a", "..", "x/y", "n\0"]),
     weight=_weights,
     enabled=st.booleans(),
     scale=st.sampled_from(SCALE_MODES + ("warp",)),
-    install_cmd=st.sampled_from(["", "true", "setup {bench_dir}"]),
-    prepare_cmd=st.sampled_from(["", "fetch {base_dir}"]),
-    run_cmd=st.sampled_from(["w", "worker --seed {rank} {device_id}", "", "  "]),
+    install_cmd=st.sampled_from(["", "true", "setup {bench_dir}", "setup {gpu}"]),
+    prepare_cmd=st.sampled_from(["", "fetch {base_dir}", "fetch '{base_dir}"]),
+    run_cmd=st.sampled_from(["w", "worker --seed {rank} {device_id}", "w {rank:03d}", "w {rank[0]}", "", "  "]),
     env=st.dictionaries(_words, _words, max_size=2),
     unit_of_work=st.sampled_from(["items", "tokens", ""]),
     obs_min=_counts,
@@ -376,7 +438,7 @@ _benchmarks = st.builds(
 _suites = st.builds(
     SuiteConfig,
     suite_name=_words,
-    benchmarks=st.lists(_benchmarks, max_size=4, unique_by=lambda b: b.name).map(tuple),
+    benchmarks=st.lists(_benchmarks, max_size=4).map(tuple),
     defaults=st.builds(BenchmarkDefaults, obs_min=_counts, obs_max=_counts, timeout_s=_timeouts),
     targets=st.none()
     | st.builds(
