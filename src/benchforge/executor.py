@@ -35,7 +35,8 @@ from .protocol import (
     StreamItem,
 )
 from .suite import (
-    BenchmarkSpec, SuiteConfig, SuiteError, render_suite, resolve_command, text_sha256, validate_suite,
+    BenchmarkSpec, SuiteConfig, SuiteError, benchmark_violations, render_suite, resolve_command, text_sha256,
+    validate_suite,
 )
 
 INSTALL_STAMP = ".installed"
@@ -472,6 +473,11 @@ def _pending(bench: BenchmarkSpec, base_dir: Path, phase: str) -> bool:
 def _setup_phase(cfg: SuiteConfig, base_dir: Path, phase: str) -> dict[str, str]:
     import subprocess
 
+    # Each entry's own rules, before any directory exists; the suite-wide total-weight rule
+    # is not one of them, so a selection of unweighted benchmarks can still be set up.
+    violations = [v for bench in cfg.benchmarks for v in benchmark_violations(bench)]
+    if violations:
+        raise SuiteError(violations[0])
     subdir, stamp_name, field = _PHASES[phase]
     earlier = list(_PHASES)[: list(_PHASES).index(phase)]
     statuses: dict[str, str] = {}
@@ -512,7 +518,9 @@ def install(cfg: SuiteConfig, base_dir: Path | str) -> dict[str, str]:
     """Run each enabled benchmark's install command in its own env dir.
 
     Idempotent: a matching stamp file skips the command entirely. One
-    failure never blocks the other benchmarks.
+    failure never blocks the other benchmarks. An entry that breaks one of
+    its ``benchmark_violations`` raises SuiteError before any directory
+    exists; ``prepare`` does the same.
     """
     return _setup_phase(cfg, Path(base_dir), "install")
 

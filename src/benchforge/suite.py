@@ -10,6 +10,7 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import math
+from collections.abc import Hashable
 from typing import Any, NamedTuple
 
 import yaml
@@ -117,13 +118,13 @@ def parse_suite(text: str) -> SuiteConfig:
 
     Suite defaults are applied to every per-benchmark field that the
     document leaves absent; per-benchmark values always win. Parsing
-    decodes shape and types only; every value rule is ``validate_suite``'s,
-    and the first violation it reports is raised.
+    decodes the document's shape only: it makes an int a float where the
+    field is a number and an env scalar text, and leaves every type and
+    value rule to ``validate_suite``, whose first violation it raises.
 
     Raises:
         SuiteError: on YAML syntax errors (position reported), a part that
-            is not a mapping or list, unknown keys, wrongly typed or
-            non-finite values, a missing name, or a ``validate_suite``
+            is not a mapping or list, unknown keys, or a ``validate_suite``
             violation.
     """
     try:
@@ -138,22 +139,17 @@ def parse_suite(text: str) -> SuiteConfig:
     # The document names SuiteConfig.suite_name ``suite``.
     _check_keys(raw, ("suite", *SuiteConfig._fields[1:]), "top level")
 
-    suite_name = raw.get("suite", "unnamed")
-    if not isinstance(suite_name, str) or not suite_name.strip():
-        raise SuiteError("'suite' must be a non-empty string")
-
     defaults = _parse_defaults(raw.get("defaults"))
-    targets = _parse_targets(raw.get("targets"))
 
     raw_benchmarks = raw.get("benchmarks") or []
     if not isinstance(raw_benchmarks, list):
         raise SuiteError("'benchmarks' must be a list")
 
     cfg = SuiteConfig(
-        suite_name=suite_name.strip(),
+        suite_name=raw.get("suite", "unnamed"),
         benchmarks=tuple(_parse_benchmark(item, i, defaults) for i, item in enumerate(raw_benchmarks)),
         defaults=defaults,
-        targets=targets,
+        targets=_parse_targets(raw.get("targets")),
     )
     violations = validate_suite(cfg)
     if violations:
@@ -167,52 +163,105 @@ def load_suite(path: Any) -> SuiteConfig:
 
 
 def validate_suite(cfg: SuiteConfig) -> list[str]:
-    """Check every suite invariant; return one description per violation.
+    """Check every suite rule, types included; return one description per violation.
 
     Violations are data, not failures: an empty list means the suite is
-    valid. Each entry names the offending benchmark and field. This is
-    the one home of the suite's value rules; ``parse_suite`` raises the
-    first violation.
+    valid, and a field of the wrong type is a violation, not an exception.
+    Each names the offending benchmark and field. This is the one home of
+    the suite's rules: ``parse_suite`` raises the first violation, ``run``
+    refuses a suite with any, and ``install`` and ``prepare`` apply the
+    per-benchmark ones, ``benchmark_violations``.
     """
     violations: list[str] = []
+    if not _fits(cfg.suite_name, str) or not cfg.suite_name.strip():
+        violations.append(f"suite: suite_name must be non-empty text, got {cfg.suite_name!r}")
     if not cfg.benchmarks:
         violations.append("suite: at least one benchmark required")
-    violations.extend(_entry_violations("defaults", cfg.defaults))
+    mistyped = _mistyped(cfg.defaults)
+    violations.extend([f"defaults: {m}" for m in mistyped] or _entry_violations("defaults", cfg.defaults))
     seen: set[str] = set()
     for bench in cfg.benchmarks:
-        where = f"benchmark {bench.name!r}"
-        # The name is a directory under runs/<stamp>/, envs/ and data/: one path component.
-        if bench.name in ("", ".", "..") or "/" in bench.name or "\0" in bench.name:
-            violations.append(f"{where}: name must be one path component (not empty, '.' or '..', no '/' or NUL)")
-        if bench.name in seen:
-            violations.append(f"duplicate benchmark name {bench.name!r}")
-        seen.add(bench.name)
-        if not math.isfinite(bench.weight):
-            violations.append(f"{where}: weight must be finite, got {bench.weight}")
-        elif bench.weight < 0:
-            violations.append(f"{where}: weight must be >= 0, got {bench.weight}")
-        violations.extend(_entry_violations(where, bench))
-        if not bench.run_cmd.strip():
-            violations.append(f"{where}: run_cmd must be non-empty")
-        for field in ("install_cmd", "prepare_cmd", "run_cmd"):
-            try:  # the defaults have the types run gives, so what resolves here resolves there
-                resolve_command(getattr(bench, field))
-            except SuiteError as exc:
-                violations.append(f"{where}: {field}: {exc}")
-        if not bench.unit_of_work:
-            violations.append(f"{where}: unit_of_work must be non-empty")
-        if bench.scale not in SCALE_MODES:
-            violations.append(f"{where}: scale must be one of {SCALE_MODES}, got {bench.scale!r}")
-    enabled_weight = sum(b.weight for b in cfg.benchmarks if b.enabled)
-    if cfg.benchmarks and enabled_weight <= 0:
-        violations.append("suite: total weight of enabled benchmarks must be > 0")
+        violations.extend(benchmark_violations(bench))
+        if _fits(bench.name, str):
+            if bench.name in seen:
+                violations.append(f"duplicate benchmark name {bench.name!r}")
+            seen.add(bench.name)
+    if cfg.benchmarks and all(_fits(b.enabled, bool) and _fits(b.weight, float) for b in cfg.benchmarks):
+        if sum(b.weight for b in cfg.benchmarks if b.enabled) <= 0:
+            violations.append("suite: total weight of enabled benchmarks must be > 0")
     if cfg.targets is not None:
         violations.extend(_validate_targets(cfg.targets))
     return violations
 
 
+def benchmark_violations(bench: BenchmarkSpec) -> list[str]:
+    """``validate_suite``'s rules for one entry; the value rules run only on a well-typed one."""
+    where = f"benchmark {bench.name!r}"
+    mistyped = _mistyped(bench)
+    if not (isinstance(bench.env, dict) and all(_fits(s, str) for pair in bench.env.items() for s in pair)):
+        mistyped.append(f"env must be a mapping of text to text, got {bench.env!r}")
+    if isinstance(bench.tags, TaxonomyTags):
+        mistyped.extend(f"tags.{m}" for m in _mistyped(bench.tags))
+    elif bench.tags is not None:
+        mistyped.append(f"tags must be None or TaxonomyTags, got {bench.tags!r}")
+    if mistyped:
+        return [f"{where}: {m}" for m in mistyped]
+    violations: list[str] = []
+    # The name is a directory under runs/<stamp>/, envs/ and data/: one path component.
+    if bench.name in ("", ".", "..") or "/" in bench.name or "\0" in bench.name:
+        violations.append(f"{where}: name must be one path component (not empty, '.' or '..', no '/' or NUL)")
+    elif bench.name != bench.name.strip():
+        violations.append(f"{where}: name must not start or end with whitespace")
+    if bench.weight < 0:
+        violations.append(f"{where}: weight must be >= 0, got {bench.weight}")
+    violations.extend(_entry_violations(where, bench))
+    if not bench.run_cmd.strip():
+        violations.append(f"{where}: run_cmd must be non-empty")
+    for field in ("install_cmd", "prepare_cmd", "run_cmd"):
+        try:  # the defaults have the types run gives, so what resolves here resolves there
+            resolve_command(getattr(bench, field))
+        except SuiteError as exc:
+            violations.append(f"{where}: {field}: {exc}")
+    if not bench.unit_of_work:
+        violations.append(f"{where}: unit_of_work must be non-empty")
+    if bench.scale not in SCALE_MODES:
+        violations.append(f"{where}: scale must be one of {SCALE_MODES}, got {bench.scale!r}")
+    return violations
+
+
+# How a violation names the type of a field, by the type of the field's default.
+_NOUNS = {bool: "a boolean", int: "an integer", float: "a number", str: "text", frozenset: "a set of text labels"}
+
+
+def _fits(value: Any, kind: type) -> bool:
+    """Whether ``value`` is of ``kind``: an int is also a number, a bool only a boolean, and a set holds text."""
+    if isinstance(value, bool) != (kind is bool):
+        return False
+    if kind is frozenset:
+        return isinstance(value, frozenset) and all(isinstance(label, str) for label in value)
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _mistyped(entry: Any) -> list[str]:
+    """The type rules a suite NamedTuple breaks: each field has its default's type, and a number is finite.
+
+    A benchmark's name, the one field without a default, is text; the
+    fields whose default is None (env and tags) are the caller's to check.
+    """
+    found = []
+    for field, value in zip(entry._fields, entry):
+        kind = type(entry._field_defaults.get(field, ""))
+        if kind not in _NOUNS:
+            continue
+        if not _fits(value, kind):
+            found.append(f"{field} must be {_NOUNS[kind]}, got {value!r}")
+        elif kind is float and not math.isfinite(value):
+            found.append(f"{field} must be finite, got {value}")
+    return found
+
+
 def _entry_violations(where: str, entry: BenchmarkDefaults | BenchmarkSpec) -> list[str]:
-    """The rules the suite defaults share with each benchmark: observation budget and timeout."""
+    """The value rules the suite defaults share with each benchmark: observation budget and timeout."""
     violations: list[str] = []
     if entry.obs_min <= 0:
         violations.append(f"{where}: obs_min must be positive, got {entry.obs_min}")
@@ -220,9 +269,7 @@ def _entry_violations(where: str, entry: BenchmarkDefaults | BenchmarkSpec) -> l
         violations.append(
             f"{where}: obs_min <= obs_max required, got {entry.obs_min} > {entry.obs_max}"
         )
-    if not math.isfinite(entry.timeout_s):
-        violations.append(f"{where}: timeout_s must be finite, got {entry.timeout_s}")
-    elif entry.timeout_s <= 0:
+    if entry.timeout_s <= 0:
         violations.append(f"{where}: timeout_s must be positive, got {entry.timeout_s}")
     return violations
 
@@ -232,9 +279,11 @@ def _validate_targets(targets: CoverageTargets) -> list[str]:
     violations: list[str] = []
     for dim, columns in sorted(targets.dimensions.items()):
         for col, prop in sorted(columns.items()):
-            if not 0.0 <= prop <= 1.0:
+            if not _fits(prop, float):
+                violations.append(f"targets.{dim}.{col}: proportion must be a number, got {prop!r}")
+            elif not 0.0 <= prop <= 1.0:
                 violations.append(f"targets.{dim}.{col}: proportion must be in [0,1], got {prop}")
-        if dim == "model_sizes" and columns:
+        if dim == "model_sizes" and columns and all(_fits(p, float) for p in columns.values()):
             total = math.fsum(columns.values())  # exactly rounded, so independent of column order
             if abs(total - 1.0) > 1e-9:
                 violations.append(
@@ -360,7 +409,7 @@ def render_suite(cfg: SuiteConfig) -> str:
         "defaults": {
             "obs_min": cfg.defaults.obs_min,
             "obs_max": cfg.defaults.obs_max,
-            "timeout_s": cfg.defaults.timeout_s,
+            "timeout_s": float(cfg.defaults.timeout_s),
         },
         "benchmarks": [_render_benchmark(b) for b in cfg.benchmarks],
     }
@@ -387,7 +436,7 @@ def _render_benchmark(bench: BenchmarkSpec) -> dict[str, Any]:
         "unit_of_work": bench.unit_of_work,
         "obs_min": bench.obs_min,
         "obs_max": bench.obs_max,
-        "timeout_s": bench.timeout_s,
+        "timeout_s": float(bench.timeout_s),
     }
     if bench.install_cmd:
         out["install_cmd"] = bench.install_cmd
@@ -420,11 +469,7 @@ def _parse_defaults(raw: Any) -> BenchmarkDefaults:
     if not isinstance(raw, dict):
         raise SuiteError("'defaults' must be a mapping")
     _check_keys(raw, BenchmarkDefaults._fields, "defaults")
-    return BenchmarkDefaults(
-        obs_min=_read(raw, "obs_min", "defaults", DEFAULT_OBS_MIN),
-        obs_max=_read(raw, "obs_max", "defaults", DEFAULT_OBS_MAX),
-        timeout_s=_read(raw, "timeout_s", "defaults", DEFAULT_TIMEOUT_S),
-    )
+    return BenchmarkDefaults(**_floats(raw))
 
 
 def _parse_targets(raw: Any) -> CoverageTargets | None:
@@ -437,12 +482,7 @@ def _parse_targets(raw: Any) -> CoverageTargets | None:
     for dim, columns in raw.items():
         if not isinstance(columns, dict):
             raise SuiteError(f"targets.{dim}: must be a mapping of column -> proportion")
-        parsed: dict[str, float] = {}
-        for col, prop in columns.items():
-            if isinstance(prop, bool) or not isinstance(prop, (int, float)):
-                raise SuiteError(f"targets.{dim}.{col}: proportion must be a number")
-            parsed[str(col)] = float(prop)
-        dimensions[dim] = parsed
+        dimensions[dim] = {str(col): float(p) if type(p) is int else p for col, p in columns.items()}
     return CoverageTargets(dimensions=dimensions)
 
 
@@ -451,80 +491,30 @@ def _parse_benchmark(item: Any, index: int, defaults: BenchmarkDefaults) -> Benc
     if not isinstance(item, dict):
         raise SuiteError(f"{context}: must be a mapping")
     _check_keys(item, BenchmarkSpec._fields, context)
-
-    name = item.get("name")
-    if not isinstance(name, str) or not name.strip():
-        raise SuiteError(f"{context}: missing or empty 'name'")
-    name = name.strip()
-    context = f"benchmarks[{index}] ({name})"
-
-    env_raw = item.get("env") or {}
-    if not isinstance(env_raw, dict):
-        raise SuiteError(f"{context}: 'env' must be a mapping")
-
-    return BenchmarkSpec(
-        name=name,
-        weight=_read(item, "weight", context, 1.0),
-        enabled=_read(item, "enabled", context, True),
-        scale=_read(item, "scale", context, "single-device"),
-        install_cmd=_read(item, "install_cmd", context, ""),
-        prepare_cmd=_read(item, "prepare_cmd", context, ""),
-        run_cmd=_read(item, "run_cmd", context, ""),
-        env={str(k): str(v) for k, v in env_raw.items()},
-        unit_of_work=_read(item, "unit_of_work", context, "items"),
-        obs_min=_read(item, "obs_min", context, defaults.obs_min),
-        obs_max=_read(item, "obs_max", context, defaults.obs_max),
-        timeout_s=_read(item, "timeout_s", context, defaults.timeout_s),
-        tags=_parse_tags(item.get("tags"), context),
-    )
+    fields = {"name": None, **defaults._asdict(), **_floats(item)}
+    env = fields.get("env") or {}
+    if isinstance(env, dict):  # a scalar becomes its text; null, a list or a mapping is left to be refused
+        env = {str(k): v if v is None or isinstance(v, (list, dict, set)) else str(v) for k, v in env.items()}
+    fields["env"] = env
+    fields["tags"] = _parse_tags(fields.get("tags"), context)
+    return BenchmarkSpec(**fields)
 
 
-def _parse_tags(raw: Any, context: str) -> TaxonomyTags | None:
-    if raw is None:
-        return None
+def _floats(raw: dict[str, Any]) -> dict[str, Any]:
+    """``raw`` with an int made a float where the field is a number (its default is a float)."""
+    numbers = {k for k, v in BenchmarkSpec._field_defaults.items() if type(v) is float}
+    return {k: float(v) if k in numbers and type(v) is int else v for k, v in raw.items()}
+
+
+def _parse_tags(raw: Any, context: str) -> Any:
+    """A mapping of labels as TaxonomyTags; any other value is left to be refused."""
     if not isinstance(raw, dict):
-        raise SuiteError(f"{context}: 'tags' must be a mapping")
+        return raw
     _check_keys(raw, TaxonomyTags._fields, f"{context}.tags")
-    size = raw.get("model_size_class", "")
-    if not isinstance(size, str):
-        raise SuiteError(f"{context}.tags.model_size_class: must be a single text label")
 
-    def label_set(key: str) -> frozenset[str]:
-        values = raw.get(key) or []
-        if isinstance(values, str):
-            values = [values]
-        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-            raise SuiteError(f"{context}.tags.{key}: must be a list of text labels")
-        return frozenset(values)
+    def label_set(values: Any) -> Any:
+        values = [values] if isinstance(values, str) else values or []
+        hashable = isinstance(values, list) and all(isinstance(v, Hashable) for v in values)
+        return frozenset(values) if hashable else values
 
-    return TaxonomyTags(
-        domains=label_set("domains"),
-        architectures=label_set("architectures"),
-        model_size_class=size,
-        parallelism=label_set("parallelism"),
-        libraries=label_set("libraries"),
-    )
-
-
-# What a field read with a default of each type accepts, and how its message names that.
-_ACCEPTED = {
-    bool: (bool, "a boolean"),
-    int: (int, "an integer"),
-    float: ((int, float), "a number"),
-    str: (str, "a string"),
-}
-
-
-def _read(raw: dict[str, Any], key: str, context: str, default: Any) -> Any:
-    """``raw[key]``, or ``default`` when absent; it must be of the default's type (an int is a number)."""
-    value = raw.get(key, default)
-    kind = type(default)
-    accepted, noun = _ACCEPTED[kind]
-    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
-        raise SuiteError(f"{context}: '{key}' must be {noun}")
-    if kind is float:
-        # Also a rule of validate_suite, for configs built in code; here YAML's .nan and .inf stop.
-        if not math.isfinite(value):
-            raise SuiteError(f"{context}: '{key}' must be a finite number, got {value}")
-        return float(value)
-    return value
+    return TaxonomyTags(**{k: v if k == "model_size_class" else label_set(v) for k, v in raw.items()})

@@ -5,9 +5,11 @@ it, with no child process: a rendered ``suite.yaml``, ``meta.json``, one
 ``outcomes.json`` per enabled benchmark, and per process a metric stream
 and maybe its ``.fold`` sidecar. ``report --format json`` is compared with
 an oracle written here from docs/protocol.md and the score formula, at
-the tolerance of ``perfbench/oracle.py``. Two metamorphic properties ride
+the tolerance of ``perfbench/oracle.py``. Metamorphic properties ride
 along: deleting every sidecar leaves the text, CSV and JSON bytes
-unchanged, and permuting the benchmarks leaves the score unchanged.
+unchanged; permuting the benchmarks or scaling every weight by one
+positive factor leaves the score unchanged; raising one benchmark's rates
+never lowers it; and adding a weight-0 benchmark never moves it.
 """
 
 import hashlib
@@ -259,3 +261,59 @@ def test_report_matches_the_oracle_and_its_metamorphic_properties(benches, keep_
         assert sorted(shuffled["rows"], key=lambda row: row["bench"]) == sorted(
             document["rows"], key=lambda row: row["bench"]
         )
+
+
+def _score(run_dir: Path) -> float:
+    return json.loads(report(run_dir, "json", False))["global"][SYSTEM]["score"]
+
+
+def _raised(data: bytes, factor: float) -> bytes:
+    """``data`` with the work and the rate of each decodable rate line times ``factor``."""
+    lines = []
+    for line in data.split(b"\n"):
+        try:
+            event = json.loads(line)
+            event["data"]["batch"] *= factor
+            event["data"]["rate"] *= factor
+            line = json.dumps(event).encode()
+        except (ValueError, TypeError, KeyError):  # not a rate line: left as it is
+            pass
+        lines.append(line)
+    return b"\n".join(lines)
+
+
+@settings(max_examples=15, deadline=None)
+@given(benches=_runs, factor=st.sampled_from([0.125, 3.0, 1000.0]))
+def test_scaling_every_weight_keeps_the_score(benches, factor):
+    scaled = [{**bench, "weight": bench["weight"] * factor} for bench in benches]
+    order = list(range(len(benches)))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_run(Path(tmp) / "run", benches, order)
+        write_run(Path(tmp) / "scaled", scaled, order)
+        assert math.isclose(_score(Path(tmp) / "scaled"), _score(Path(tmp) / "run"), rel_tol=REL_TOL)
+
+
+@settings(max_examples=15, deadline=None)
+@given(benches=_runs, factor=st.sampled_from([1.5, 10.0]), data=st.data())
+def test_raising_one_benchmarks_rates_never_lowers_the_score(benches, factor, data):
+    index = data.draw(st.integers(0, len(benches) - 1), label="raised")
+    processes = [
+        {**proc, "stream": proc["stream"] and (_raised(proc["stream"][0], factor), None)}
+        for proc in benches[index]["processes"]
+    ]
+    raised = [*benches[:index], {**benches[index], "processes": processes}, *benches[index + 1 :]]
+    order = list(range(len(benches)))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_run(Path(tmp) / "run", benches, order)
+        write_run(Path(tmp) / "raised", raised, order)
+        assert _score(Path(tmp) / "raised") >= _score(Path(tmp) / "run") * (1 - REL_TOL)
+
+
+@settings(max_examples=15, deadline=None)
+@given(benches=_runs, extra=_benchmark)
+def test_adding_a_weight_0_benchmark_never_moves_the_score(benches, extra):
+    added = [*benches, {**extra, "weight": 0.0}]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_run(Path(tmp) / "run", benches, list(range(len(benches))))
+        write_run(Path(tmp) / "added", added, list(range(len(added))))
+        assert _score(Path(tmp) / "added") == _score(Path(tmp) / "run")

@@ -1,13 +1,15 @@
 """Suite parsing, validation, selection, and round-trip tests."""
 
+import json
 import random
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from benchforge import suite as suite_module
+from benchforge.executor import DevicePool, install, prepare, run
 from benchforge.suite import (
     SCALE_MODES,
     TAG_DIMENSIONS,
@@ -102,13 +104,31 @@ benchmarks:
     @pytest.mark.parametrize("field", ["weight", "timeout_s"])
     @pytest.mark.parametrize("value", [".nan", ".inf"])
     def test_non_finite_number_rejected(self, field, value):
-        with pytest.raises(SuiteError, match=f"'{field}' must be a finite number"):
+        with pytest.raises(SuiteError) as err:
             parse_suite(f"suite: s\nbenchmarks:\n  - {{name: a, run_cmd: w, {field}: {value}}}\n")
+        assert str(err.value) == f"benchmark 'a': {field} must be finite, got {value[1:]}"
 
     @pytest.mark.parametrize("value", [".nan", ".inf"])
     def test_non_finite_default_timeout_rejected(self, value):
-        with pytest.raises(SuiteError, match="'timeout_s' must be a finite number"):
+        with pytest.raises(SuiteError) as err:
             parse_suite(f"suite: s\ndefaults: {{timeout_s: {value}}}\nbenchmarks:\n  - {{name: a, run_cmd: w}}\n")
+        assert str(err.value) == f"defaults: timeout_s must be finite, got {value[1:]}"
+
+    def test_env_scalars_become_text(self):
+        cfg = parse_suite("suite: s\nbenchmarks:\n  - {name: a, run_cmd: w, env: {A: 1, B: true, C: 1.5, D: x, 7: y}}\n")
+        assert cfg.benchmarks[0].env == {"A": "1", "B": "True", "C": "1.5", "D": "x", "7": "y"}
+
+    @pytest.mark.parametrize("value, shown", [("null", "None"), ("[1, 2]", "[1, 2]"), ("{k: v}", "{'k': 'v'}")])
+    def test_env_value_that_is_not_a_scalar_is_refused(self, value, shown):
+        with pytest.raises(SuiteError) as err:
+            parse_suite(f"suite: s\nbenchmarks:\n  - {{name: a, run_cmd: w, env: {{X: {value}}}}}\n")
+        assert str(err.value) == f"benchmark 'a': env must be a mapping of text to text, got {{'X': {shown}}}"
+
+    @pytest.mark.parametrize("name", [" a", "a ", "\ta", " "])
+    def test_name_with_surrounding_whitespace_is_refused_not_stripped(self, name):
+        with pytest.raises(SuiteError) as err:
+            parse_suite(f"suite: s\nbenchmarks:\n  - {{name: {json.dumps(name)}, run_cmd: w}}\n")
+        assert str(err.value) == f"benchmark {name!r}: name must not start or end with whitespace"
 
 
 class TestValidate:
@@ -278,6 +298,80 @@ class TestBenchmarkNames:
         assert validate_suite(SuiteConfig("s", (BenchmarkSpec(name=name, run_cmd="w"),))) == []
 
 
+def _wrong_type(default):
+    """A value of another type than ``default``: a number for a text field, else text."""
+    return 3 if isinstance(default, str) else "3"
+
+
+_SPEC_FIELDS = [(field, BenchmarkSpec._field_defaults.get(field, "")) for field in BenchmarkSpec._fields]
+_VALID = BenchmarkSpec(name="a", run_cmd="w", install_cmd="true", prepare_cmd="true")
+
+
+class TestTypes:
+    """Every type rule is validate_suite's, so a suite built in code meets the rules a parsed one does."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("weight", "1"),
+            ("obs_min", "5"),
+            ("timeout_s", None),
+            ("run_cmd", None),
+            ("name", None),
+            ("unit_of_work", 3),
+            ("enabled", 1),
+            ("weight", True),
+            ("env", {"X": 1}),
+            ("tags", TaxonomyTags(domains=frozenset({1}))),
+        ],
+    )
+    def test_in_code_type_error_is_a_violation(self, field, value):
+        violations = validate_suite(SuiteConfig("s", (_VALID._replace(**{field: value}),)))
+        assert violations and all(field in v for v in violations)
+
+    @pytest.mark.parametrize("field, default", _SPEC_FIELDS)
+    def test_every_benchmark_field_is_typed(self, field, default, tmp_path):
+        bench = _VALID._replace(**{field: _wrong_type(default)})
+        violations = validate_suite(SuiteConfig("s", (bench,)))
+        assert any(f": {field} must be " in v for v in violations), violations
+        with pytest.raises(SuiteError):
+            run(SuiteConfig("s", (bench,)), DevicePool(("d0",)), tmp_path / "base")
+        for phase in (install, prepare):
+            with pytest.raises(SuiteError):
+                phase(SuiteConfig("s", (bench,)), tmp_path / "base")
+        assert not (tmp_path / "base").exists()
+
+    @pytest.mark.parametrize("field, default", BenchmarkDefaults._field_defaults.items())
+    def test_every_default_field_is_typed(self, field, default, tmp_path):
+        cfg = SuiteConfig("s", (_VALID,), BenchmarkDefaults(**{field: _wrong_type(default)}))
+        assert any(v.startswith(f"defaults: {field} must be ") for v in validate_suite(cfg))
+        with pytest.raises(SuiteError):
+            run(cfg, DevicePool(("d0",)), tmp_path / "base")
+        assert not (tmp_path / "base").exists()
+
+    @pytest.mark.parametrize("suite_name", [3, None, "", "  "])
+    def test_suite_name_is_non_empty_text(self, suite_name, tmp_path):
+        cfg = SuiteConfig(suite_name, (_VALID,))
+        assert validate_suite(cfg) == [f"suite: suite_name must be non-empty text, got {suite_name!r}"]
+        with pytest.raises(SuiteError):
+            run(cfg, DevicePool(("d0",)), tmp_path / "base")
+        assert not (tmp_path / "base").exists()
+
+    @pytest.mark.parametrize("bench", [_VALID._replace(env={"X": 1}), _VALID._replace(name=" a")])
+    def test_run_refuses_before_any_directory_exists(self, bench, tmp_path):
+        with pytest.raises(SuiteError):
+            run(SuiteConfig("s", (bench,)), DevicePool(("d0",)), tmp_path, check_setup=False)
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("phase", [install, prepare])
+    def test_setup_refuses_a_name_that_leaves_its_directory(self, phase, tmp_path):
+        base = tmp_path / "base"
+        base.mkdir()
+        with pytest.raises(SuiteError, match="name must be one path component"):
+            phase(SuiteConfig("s", (_VALID._replace(name="../outside"),)), base)
+        assert list(tmp_path.iterdir()) == [base] and list(base.iterdir()) == []
+
+
 class TestSelect:
     def test_star_is_identity(self, reference_suite):
         assert select_benchmarks(reference_suite, "*") == reference_suite
@@ -383,6 +477,11 @@ class TestRoundTrip:
 
     @settings(max_examples=300, deadline=None)
     @given(cfg=st.deferred(lambda: _suites))
+    @example(
+        cfg=SuiteConfig(
+            "s", (BenchmarkSpec(name="a", run_cmd="w", timeout_s=300),), BenchmarkDefaults(timeout_s=7)
+        )
+    )
     def test_parse_accepts_exactly_what_validate_accepts(self, cfg):
         violations = validate_suite(cfg)
         if violations:
@@ -390,7 +489,14 @@ class TestRoundTrip:
                 parse_suite(render_suite(cfg))
             assert str(err.value) == violations[0]
         else:
-            assert parse_suite(render_suite(cfg)) == cfg
+            parsed = parse_suite(render_suite(cfg))
+            assert parsed == cfg
+            assert parsed.sha256() == cfg.sha256()
+
+    def test_an_int_timeout_hashes_as_its_float(self):
+        cfg = SuiteConfig("s", (BenchmarkSpec(name="a", run_cmd="w", timeout_s=300, obs_min=30),))
+        assert cfg.sha256().startswith("cdecff9aaaab")
+        assert parse_suite(render_suite(cfg)).sha256() == cfg.sha256()
 
     def test_sha256_stable_across_renders(self, reference_suite):
         assert reference_suite.sha256() == parse_suite(render_suite(reference_suite)).sha256()
@@ -400,14 +506,12 @@ class TestRoundTrip:
         assert reference_suite.sha256() == "309fa8ef850feb85160581e4f55f33282e7aa7632f92d7a6e67873455a3723e1"
 
 
-# Suites of valid shape (types, non-empty names) whose values stray over
-# and past every rule of validate_suite: names, templates and numbers.
-# Numbers are finite: parsing refuses a YAML .nan or .inf with its own
-# message, pinned in TestParse.
+# Suites of valid types whose values stray over and past every rule of
+# validate_suite: names, templates and numbers, non-finite ones included.
 _words = st.text(alphabet="abcxyz019-_", min_size=1, max_size=6)
 _labels = st.frozensets(st.sampled_from(["NLP", "CV", "RL", "torch", "jax"]), max_size=3)
 _counts = st.integers(min_value=-2, max_value=80)
-_reals = st.floats(allow_nan=False, allow_infinity=False)
+_reals = st.floats()
 _weights = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2]) | _reals
 _timeouts = st.sampled_from([-1.0, 0.0, 1, 300.0]) | _reals
 _proportions = st.sampled_from([-0.1, 0.0, 0.1, 0.2, 0.25, 0.5, 0.7, 1.0, 1.5])
@@ -421,7 +525,7 @@ _tags = st.builds(
 )
 _benchmarks = st.builds(
     BenchmarkSpec,
-    name=_words | st.sampled_from(["a", "..", "x/y", "n\0"]),
+    name=_words | st.sampled_from(["a", "..", "x/y", "n\0", " a", "b\t"]),
     weight=_weights,
     enabled=st.booleans(),
     scale=st.sampled_from(SCALE_MODES + ("warp",)),
@@ -437,7 +541,7 @@ _benchmarks = st.builds(
 )
 _suites = st.builds(
     SuiteConfig,
-    suite_name=_words,
+    suite_name=_words | st.sampled_from([" s ", "  "]),
     benchmarks=st.lists(_benchmarks, max_size=4).map(tuple),
     defaults=st.builds(BenchmarkDefaults, obs_min=_counts, obs_max=_counts, timeout_s=_timeouts),
     targets=st.none()
