@@ -103,6 +103,9 @@ class ProcessOutcome(NamedTuple):
     exit_code: int
     duration_s: float
     classified: str  # one of {success, error, timeout}
+    # The child's user plus system CPU and peak RSS, from its wait status; None when it never started.
+    cpu_s: float | None = None
+    maxrss_kb: int | None = None
 
 
 class RunRecord(NamedTuple):
@@ -308,8 +311,13 @@ def log_from_sidecar(data: bytes, sha256: str, size: int, process_id: str) -> Ob
     return log
 
 
-def _kill_group(proc) -> int:
-    """SIGKILL the whole process group of the child ``proc`` (a Popen), then reap the child."""
+def _kill_group(proc):
+    """SIGKILL the whole process group of the child ``proc`` (a Popen), then reap the child.
+
+    The child is reaped by ``os.wait4``, which also gives its resource
+    usage; ``proc.returncode`` is set, so ``Popen`` never waits for it
+    again. Returns that usage.
+    """
     import signal
 
     # The unreaped child pins its pgid, so this kills only its group.
@@ -317,7 +325,9 @@ def _kill_group(proc) -> int:
         os.killpg(proc.pid, signal.SIGKILL)
     except OSError:
         proc.kill()
-    return proc.wait()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return usage
 
 
 class _Child:
@@ -330,7 +340,7 @@ class _Child:
         self.plan, self.stream = plan, out_dir / f"{plan.rank}.jsonl"
         self.fold = LogFold(f"{plan.bench}/{plan.rank}")
         self.digest = hashlib.sha256()
-        self.exit_code = self.log = None
+        self.exit_code = self.log = self.cpu_s = self.maxrss_kb = None
         # eof: the pipe hit EOF; exited: the pidfd fired, so the child ended before its deadline.
         self.duration, self.eof, self.exited = 0.0, False, False
         self.capture = open(self.stream, "wb")
@@ -363,8 +373,10 @@ class _Child:
         self.fold.feed(chunk)
 
     def reap(self, sel) -> None:
-        self.exit_code = _kill_group(self.proc)
+        usage = _kill_group(self.proc)
         self.duration = time.monotonic() - self.started
+        self.exit_code = self.proc.returncode
+        self.cpu_s, self.maxrss_kb = usage.ru_utime + usage.ru_stime, usage.ru_maxrss
         sel.unregister(self.pidfd)
         self.deadline = time.monotonic() + DRAIN_S
 
@@ -442,7 +454,10 @@ def _supervise_all(plans: list[ProcessPlan], out_dir: Path | str) -> list[Proces
     for child in children:
         if child.plan.gang_id in failed and child.classified == "success":
             child.classified, child.log.message = "error", "gang member failed"
-    return [ProcessOutcome(c.plan, c.log, c.exit_code, c.duration, c.classified) for c in children]
+    return [
+        ProcessOutcome(c.plan, c.log, c.exit_code, c.duration, c.classified, c.cpu_s, c.maxrss_kb)
+        for c in children
+    ]
 
 
 def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
@@ -553,8 +568,12 @@ def run(
     enabled benchmark, in suite order. A suite that breaks a rule of
     ``validate_suite`` (a selection of unweighted benchmarks, say) raises
     SuiteError before the run directory exists: ``load_run`` would refuse
-    the ``suite.yaml`` written there.
+    the ``suite.yaml`` written there. Once every benchmark has run,
+    ``meta.json`` is written again with the calling process's own CPU
+    time and peak RSS.
     """
+    import resource
+
     violations = validate_suite(cfg)
     if violations:
         raise SuiteError(violations[0])
@@ -581,6 +600,10 @@ def run(
     records: list[RunRecord] = []
     for bench in cfg.enabled_benchmarks():
         records.append(_run_bench(bench, pool, base_dir, run_dir))
+    # The calling process's own cost so far, its children's not included.
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    meta.update(harness_cpu_s=usage.ru_utime + usage.ru_stime, harness_maxrss_kb=usage.ru_maxrss)
+    (run_dir / "meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
     return run_dir, records
 
 
@@ -610,6 +633,8 @@ def _write_outcomes(bench_out: Path, record: RunRecord) -> None:
             "gang_id": o.plan.gang_id,
             "exit_code": o.exit_code,
             "duration_s": o.duration_s,
+            "cpu_s": o.cpu_s,
+            "maxrss_kb": o.maxrss_kb,
             "classified": o.classified,
             "observations": len(o.log.work),
             "message": o.log.message,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import math
+import sys
 from collections.abc import Hashable
 from typing import Any, NamedTuple
 
@@ -127,9 +128,11 @@ def parse_suite(text: str) -> SuiteConfig:
             is not a mapping or list, unknown keys, or a ``validate_suite``
             violation.
     """
+    # A scalar the loader cannot build, such as a date out of range or an int
+    # past Python's digit limit, raises ValueError rather than a YAMLError.
     try:
         raw = yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         raise SuiteError(f"suite document is not valid YAML: {exc}") from exc
     if raw is None:
         raise SuiteError("suite document is empty")
@@ -186,7 +189,9 @@ def validate_suite(cfg: SuiteConfig) -> list[str]:
             if bench.name in seen:
                 violations.append(f"duplicate benchmark name {bench.name!r}")
             seen.add(bench.name)
-    if cfg.benchmarks and all(_fits(b.enabled, bool) and _fits(b.weight, float) for b in cfg.benchmarks):
+    if cfg.benchmarks and all(
+        _fits(b.enabled, bool) and _fits(b.weight, float) and _finite(b.weight) for b in cfg.benchmarks
+    ):
         if sum(b.weight for b in cfg.benchmarks if b.enabled) <= 0:
             violations.append("suite: total weight of enabled benchmarks must be > 0")
     if cfg.targets is not None:
@@ -255,9 +260,19 @@ def _mistyped(entry: Any) -> list[str]:
             continue
         if not _fits(value, kind):
             found.append(f"{field} must be {_NOUNS[kind]}, got {value!r}")
-        elif kind is float and not math.isfinite(value):
+        elif kind is float and not _finite(value):
             found.append(f"{field} must be finite, got {value}")
     return found
+
+
+def _finite(value: float) -> bool:
+    """Whether a number is finite; an int past the largest float is not, since no float holds it."""
+    return abs(value) <= sys.float_info.max
+
+
+def _as_float(value: Any) -> Any:
+    """An int as a float; an int past the largest float, or any other value, as it is."""
+    return float(value) if type(value) is int and _finite(value) else value
 
 
 def _entry_violations(where: str, entry: BenchmarkDefaults | BenchmarkSpec) -> list[str]:
@@ -283,7 +298,8 @@ def _validate_targets(targets: CoverageTargets) -> list[str]:
                 violations.append(f"targets.{dim}.{col}: proportion must be a number, got {prop!r}")
             elif not 0.0 <= prop <= 1.0:
                 violations.append(f"targets.{dim}.{col}: proportion must be in [0,1], got {prop}")
-        if dim == "model_sizes" and columns and all(_fits(p, float) for p in columns.values()):
+        # Summed only when every proportion is in range, so no sum overflows or meets inf - inf.
+        if dim == "model_sizes" and columns and all(_fits(p, float) and 0 <= p <= 1 for p in columns.values()):
             total = math.fsum(columns.values())  # exactly rounded, so independent of column order
             if abs(total - 1.0) > 1e-9:
                 violations.append(
@@ -409,13 +425,13 @@ def render_suite(cfg: SuiteConfig) -> str:
         "defaults": {
             "obs_min": cfg.defaults.obs_min,
             "obs_max": cfg.defaults.obs_max,
-            "timeout_s": float(cfg.defaults.timeout_s),
+            "timeout_s": _as_float(cfg.defaults.timeout_s),
         },
         "benchmarks": [_render_benchmark(b) for b in cfg.benchmarks],
     }
     if cfg.targets is not None:
         doc["targets"] = {
-            dim: {col: float(p) for col, p in sorted(columns.items())}
+            dim: {col: _as_float(p) for col, p in sorted(columns.items())}
             for dim, columns in sorted(cfg.targets.dimensions.items())
         }
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
@@ -429,14 +445,14 @@ def text_sha256(rendered: str) -> str:
 def _render_benchmark(bench: BenchmarkSpec) -> dict[str, Any]:
     out: dict[str, Any] = {
         "name": bench.name,
-        "weight": float(bench.weight),
+        "weight": _as_float(bench.weight),
         "enabled": bench.enabled,
         "scale": bench.scale,
         "run_cmd": bench.run_cmd,
         "unit_of_work": bench.unit_of_work,
         "obs_min": bench.obs_min,
         "obs_max": bench.obs_max,
-        "timeout_s": float(bench.timeout_s),
+        "timeout_s": _as_float(bench.timeout_s),
     }
     if bench.install_cmd:
         out["install_cmd"] = bench.install_cmd
@@ -482,7 +498,7 @@ def _parse_targets(raw: Any) -> CoverageTargets | None:
     for dim, columns in raw.items():
         if not isinstance(columns, dict):
             raise SuiteError(f"targets.{dim}: must be a mapping of column -> proportion")
-        dimensions[dim] = {str(col): float(p) if type(p) is int else p for col, p in columns.items()}
+        dimensions[dim] = {str(col): _as_float(p) for col, p in columns.items()}
     return CoverageTargets(dimensions=dimensions)
 
 
@@ -501,9 +517,9 @@ def _parse_benchmark(item: Any, index: int, defaults: BenchmarkDefaults) -> Benc
 
 
 def _floats(raw: dict[str, Any]) -> dict[str, Any]:
-    """``raw`` with an int made a float where the field is a number (its default is a float)."""
+    """``raw`` with an int made a float, if one holds it, where the field is a number (its default is a float)."""
     numbers = {k for k, v in BenchmarkSpec._field_defaults.items() if type(v) is float}
-    return {k: float(v) if k in numbers and type(v) is int else v for k, v in raw.items()}
+    return {k: _as_float(v) if k in numbers else v for k, v in raw.items()}
 
 
 def _parse_tags(raw: Any, context: str) -> Any:

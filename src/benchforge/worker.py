@@ -12,6 +12,7 @@ Also the ``benchforge-worker`` CLI, the process the executor supervises.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import random
@@ -407,6 +408,8 @@ def _env_default(flag: int | None, variable: str, default: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The imported modules live as long as the process: keep the collector from walking them again.
+    gc.freeze()
     parser = argparse.ArgumentParser(
         prog="benchforge-worker",
         description="Synthetic benchmark worker speaking the metric protocol.",

@@ -49,6 +49,15 @@ def run_once(suite_path, base, system):
     return run_dir
 
 
+def report_formats(run_dir, capsys):
+    """The default report of ``run_dir`` in each format, as printed."""
+    printed = {}
+    for fmt in ("text", "csv", "json"):
+        assert main(["report", "--runs", str(run_dir), "--format", fmt]) == 0
+        printed[fmt] = capsys.readouterr().out
+    return printed
+
+
 class TestReportCLI:
     def test_two_system_report_with_baseline(self, suite_path, tmp_path, capsys):
         dir_a = run_once(suite_path, tmp_path / "a", "boxA")
@@ -125,19 +134,32 @@ class TestReportCLI:
     def test_report_does_not_read_phase_durations(self, suite_path, tmp_path, capsys):
         run_dir = run_once(suite_path, tmp_path / "a", "boxA")
         capsys.readouterr()
-        before = {}
-        for fmt in ("text", "csv", "json"):
-            assert main(["report", "--runs", str(run_dir), "--format", fmt]) == 0
-            before[fmt] = capsys.readouterr().out
+        before = report_formats(run_dir, capsys)
         for bench in ("fast", "slow"):
             path = run_dir / bench / "outcomes.json"
             payload = json.loads(path.read_text())
             assert set(payload["phase_durations"]) == {"run"}
             payload["phase_durations"] = "not read"
             path.write_text(json.dumps(payload))
-        for fmt in ("text", "csv", "json"):
-            assert main(["report", "--runs", str(run_dir), "--format", fmt]) == 0
-            assert capsys.readouterr().out == before[fmt]
+        assert report_formats(run_dir, capsys) == before
+
+    def test_report_does_not_read_child_or_harness_usage(self, suite_path, tmp_path, capsys):
+        run_dir = run_once(suite_path, tmp_path / "a", "boxA")
+        capsys.readouterr()
+        before = report_formats(run_dir, capsys)
+        for bench in ("fast", "slow"):
+            path = run_dir / bench / "outcomes.json"
+            payload = json.loads(path.read_text())
+            for row in payload["outcomes"]:
+                assert type(row["cpu_s"]) is float and type(row["maxrss_kb"]) is int
+                row["cpu_s"], row["maxrss_kb"] = "not read", [-1]
+            path.write_text(json.dumps(payload))
+        meta_path = run_dir / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert type(meta["harness_cpu_s"]) is float and type(meta["harness_maxrss_kb"]) is int
+        meta["harness_cpu_s"], meta["harness_maxrss_kb"] = "not read", None
+        meta_path.write_text(json.dumps(meta))
+        assert report_formats(run_dir, capsys) == before
 
     def test_infinite_batch_is_rejected_not_scored(self, tmp_path, capsys):
         # 1e999 decodes to inf; it must neither reach the score nor crash the JSON report.
@@ -298,6 +320,15 @@ class TestSelectAndErrors:
         bad.write_text("suite: [oops\n")
         rc = main(["install", "--config", str(bad), "--base-dir", str(tmp_path)])
         assert rc == 4
+
+    def test_int_past_the_float_range_is_config_error(self, tmp_path, capsys):
+        suite = tmp_path / "huge.yaml"
+        timeout = "1" + "0" * 400
+        suite.write_text(f"suite: s\nbenchmarks:\n  - {{name: a, run_cmd: w, timeout_s: {timeout}}}\n")
+        rc = main(["install", "--config", str(suite), "--base-dir", str(tmp_path / "base")])
+        assert rc == 4
+        assert capsys.readouterr().err == f"benchforge: benchmark 'a': timeout_s must be finite, got {timeout}\n"
+        assert not (tmp_path / "base").exists()
 
     def test_failing_benchmark_exits_three(self, tmp_path):
         suite = tmp_path / "s.yaml"

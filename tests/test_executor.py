@@ -584,6 +584,75 @@ class TestOneSupervisionLoop:
         assert records[1].phase_durations["run"] < longest + DRAIN_S + 0.5
 
 
+def usage_suite():
+    """One benchmark for each ending: success, crash, timeout, and a binary that does not exist."""
+    return setup_suite(
+        worker_bench(name="ok"),
+        worker_bench(name="boom", extra="--kind crashing --crash-after 2"),
+        BenchmarkSpec(
+            name="stall",
+            run_cmd=f"{WORKER_CMD} --obs-min 1 --obs-max 500 --sleep-per-batch 0.4 --batches-per-epoch 2 --seed 0",
+            timeout_s=1.0,
+            obs_min=1,
+        ),
+        BenchmarkSpec(name="ghost", run_cmd="/definitely/not/a/binary"),
+    )
+
+
+class TestChildAccounting:
+    def test_every_row_has_the_child_usage(self, tmp_path):
+        run_dir, records = run(usage_suite(), POOL1, tmp_path, check_setup=False)
+        assert [r.outcomes[0].classified for r in records] == ["success", "error", "timeout", "error"]
+        for record in records:
+            (outcome,) = record.outcomes
+            (row,) = json.loads((run_dir / record.bench / "outcomes.json").read_text())["outcomes"]
+            assert (row["cpu_s"], row["maxrss_kb"]) == (outcome.cpu_s, outcome.maxrss_kb)
+            if record.bench == "ghost":  # no process started
+                assert (row["exit_code"], row["cpu_s"], row["maxrss_kb"]) == (-1, None, None)
+            else:
+                assert type(row["cpu_s"]) is float and row["cpu_s"] >= 0
+                assert type(row["maxrss_kb"]) is int and row["maxrss_kb"] > 0
+
+    def test_a_busy_child_costs_more_cpu_than_a_sleeping_one(self, tmp_path):
+        script = tmp_path / "spend.py"
+        script.write_text(
+            "import sys, time\n"
+            "if sys.argv[1] == 'spin':\n"
+            "    while time.process_time() < 0.3:\n"
+            "        pass\n"
+            "else:\n"
+            "    time.sleep(0.3)\n"
+        )
+        spent = {}
+        for mode in ("spin", "sleep"):
+            bench = BenchmarkSpec(name=mode, run_cmd=f"{sys.executable} {script} {mode}")
+            (plan,) = plan_launches(bench, POOL1, tmp_path)
+            spent[mode] = supervise(plan, tmp_path / mode).cpu_s
+        assert spent["sleep"] + 0.2 < spent["spin"]
+
+    def test_no_child_is_waited_for_twice(self, tmp_path, monkeypatch):
+        waited = {"wait4": [], "waitpid": []}
+        for name, pids in waited.items():
+            def spy(pid, options, _real=getattr(os, name), _pids=pids):
+                _pids.append(pid)
+                return _real(pid, options)
+
+            monkeypatch.setattr(os, name, spy)
+        _, records = run(usage_suite(), POOL1, tmp_path, check_setup=False)
+        started = [o for record in records for o in record.outcomes if o.exit_code != -1]
+        assert len(started) == 3
+        # Each started child is reaped once, by os.wait4; Popen never waits for it again.
+        assert len(waited["wait4"]) == len(set(waited["wait4"])) == 3
+        assert not set(waited["wait4"]) & set(waited["waitpid"])
+
+    def test_meta_records_the_harness_usage(self, tmp_path):
+        run_dir, _ = run(setup_suite(worker_bench()), POOL1, tmp_path, check_setup=False)
+        meta = json.loads((run_dir / "meta.json").read_text())
+        assert type(meta["harness_cpu_s"]) is float and meta["harness_cpu_s"] > 0
+        assert type(meta["harness_maxrss_kb"]) is int and meta["harness_maxrss_kb"] > 0
+        assert load_run(run_dir).meta == meta
+
+
 class TestLogFromEvents:
     def rate_line(self, batch, t0, t1, rate=1):
         return (

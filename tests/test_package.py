@@ -47,8 +47,9 @@ CLI_NEVER_AT_IMPORT = (
 )
 
 # What the CLI imports only when a command needs it: subprocess, selectors and
-# signal when a child is started, shlex when a suite's command templates are checked.
-RUN_ONLY = ("subprocess", "selectors", "signal", "shlex")
+# signal when a child is started, resource when a run ends, shlex when a suite's
+# command templates are checked.
+RUN_ONLY = ("subprocess", "selectors", "signal", "resource", "shlex")
 
 # Every module the benchmark's tracer wraps must still load with the CLI.
 TRACED = ("suite", "executor", "protocol", "aggregate", "report", "cli")

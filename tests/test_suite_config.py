@@ -26,6 +26,9 @@ from benchforge.suite import (
     validate_suite,
 )
 
+# An int no float can hold: it has 401 digits.
+HUGE = 10**400
+
 MINIMAL = """
 suite: tiny
 benchmarks:
@@ -114,6 +117,28 @@ benchmarks:
             parse_suite(f"suite: s\ndefaults: {{timeout_s: {value}}}\nbenchmarks:\n  - {{name: a, run_cmd: w}}\n")
         assert str(err.value) == f"defaults: timeout_s must be finite, got {value[1:]}"
 
+    @pytest.mark.parametrize("field", ["weight", "timeout_s"])
+    @pytest.mark.parametrize("value", [HUGE, -HUGE], ids=["positive", "negative"])
+    def test_int_past_the_float_range_is_not_finite(self, field, value):
+        with pytest.raises(SuiteError) as err:
+            parse_suite(f"suite: s\nbenchmarks:\n  - {{name: a, run_cmd: w, {field}: {value}}}\n")
+        assert str(err.value) == f"benchmark 'a': {field} must be finite, got {value}"
+
+    def test_default_timeout_past_the_float_range_is_not_finite(self):
+        with pytest.raises(SuiteError) as err:
+            parse_suite(f"suite: s\ndefaults: {{timeout_s: {HUGE}}}\nbenchmarks:\n  - {{name: a, run_cmd: w}}\n")
+        assert str(err.value) == f"defaults: timeout_s must be finite, got {HUGE}"
+
+    def test_proportion_past_the_float_range_is_out_of_range(self):
+        with pytest.raises(SuiteError) as err:
+            parse_suite(f"suite: s\ntargets: {{model_sizes: {{S: {HUGE}}}}}\nbenchmarks:\n  - {{name: a, run_cmd: w}}\n")
+        assert str(err.value) == f"targets.model_sizes.S: proportion must be in [0,1], got {HUGE}"
+
+    @pytest.mark.parametrize("scalar", ["1" + "0" * 5000, "2001-13-01"], ids=["digit-limit", "date"])
+    def test_scalar_the_loader_cannot_build_is_a_suite_error(self, scalar):
+        with pytest.raises(SuiteError, match="suite document is not valid YAML"):
+            parse_suite(f"suite: s\nbenchmarks:\n  - {{name: a, run_cmd: w, unit_of_work: {scalar}}}\n")
+
     def test_env_scalars_become_text(self):
         cfg = parse_suite("suite: s\nbenchmarks:\n  - {name: a, run_cmd: w, env: {A: 1, B: true, C: 1.5, D: x, 7: y}}\n")
         assert cfg.benchmarks[0].env == {"A": "1", "B": "True", "C": "1.5", "D": "x", "7": "y"}
@@ -163,6 +188,24 @@ class TestValidate:
         assert len(violations) == 1
         assert "broken" in violations[0]
         assert f"{field} must be finite" in violations[0]
+
+    @pytest.mark.parametrize("field", ["weight", "timeout_s"])
+    @pytest.mark.parametrize("value", [HUGE, -HUGE], ids=["positive", "negative"])
+    def test_int_past_the_float_range_is_one_violation(self, field, value):
+        bad = SuiteConfig("s", (BenchmarkSpec(name="a", run_cmd="w", **{field: value}),))
+        assert validate_suite(bad) == [f"benchmark 'a': {field} must be finite, got {value}"]
+
+    def test_non_finite_model_sizes_are_not_summed(self):
+        cfg = SuiteConfig(
+            "s",
+            (BenchmarkSpec(name="a", run_cmd="w"),),
+            targets=CoverageTargets({"model_sizes": {"S": float("inf"), "XL": float("-inf"), "M": HUGE}}),
+        )
+        assert validate_suite(cfg) == [
+            f"targets.model_sizes.M: proportion must be in [0,1], got {HUGE}",
+            "targets.model_sizes.S: proportion must be in [0,1], got inf",
+            "targets.model_sizes.XL: proportion must be in [0,1], got -inf",
+        ]
 
     def test_obs_ordering_violation(self):
         bad = SuiteConfig(
@@ -507,14 +550,15 @@ class TestRoundTrip:
 
 
 # Suites of valid types whose values stray over and past every rule of
-# validate_suite: names, templates and numbers, non-finite ones included.
+# validate_suite: names, templates and numbers, non-finite ones and ints no
+# float holds included.
 _words = st.text(alphabet="abcxyz019-_", min_size=1, max_size=6)
 _labels = st.frozensets(st.sampled_from(["NLP", "CV", "RL", "torch", "jax"]), max_size=3)
 _counts = st.integers(min_value=-2, max_value=80)
 _reals = st.floats()
-_weights = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2]) | _reals
-_timeouts = st.sampled_from([-1.0, 0.0, 1, 300.0]) | _reals
-_proportions = st.sampled_from([-0.1, 0.0, 0.1, 0.2, 0.25, 0.5, 0.7, 1.0, 1.5])
+_weights = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2, HUGE]) | _reals
+_timeouts = st.sampled_from([-1.0, 0.0, 1, 300.0, -HUGE]) | _reals
+_proportions = st.sampled_from([-0.1, 0.0, 0.1, 0.2, 0.25, 0.5, 0.7, 1.0, 1.5, HUGE, float("-inf")])
 _tags = st.builds(
     TaxonomyTags,
     domains=_labels,

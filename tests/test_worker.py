@@ -1,5 +1,7 @@
 """Measurement-loop tests: budgets, deferred flushing, determinism."""
 
+import argparse
+import gc
 import hashlib
 import random
 
@@ -391,3 +393,18 @@ def test_stream_bytes_are_pinned(argv, code, digest, monkeypatch, capsys):
         monkeypatch.delenv(variable, raising=False)
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_main_freezes_the_heap_before_parsing_arguments(monkeypatch, capsys):
+    calls = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def parse_spy(self, *args, **kwargs):
+        calls.append("parse_args")
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_spy)
+    monkeypatch.delenv("BENCHFORGE_METRICS_FD", raising=False)
+    assert main(["--obs-min", "1", "--obs-max", "1"]) == 0
+    assert calls == ["freeze", "parse_args"]
