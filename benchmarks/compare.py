@@ -10,7 +10,12 @@ Usage (from the repository root):
 Each seed runs ``perfbench/run.py`` as it stands in each tree, once per tree,
 alternating which tree goes first, for the ``run_seconds`` of the head's
 ``BENCHMARK.json``. One traced pair per workload (``--trace 1``, seed of the
-first pair) follows. ``--workload`` may be given more than once.
+first pair) follows. ``--workload`` may be given more than once. Each run
+gets its own empty ``PYTHONPYCACHEPREFIX``, so every run of either tree
+compiles from source and no ``__pycache__`` left in a tree biases it. With
+``PYTHONDONTWRITEBYTECODE`` set, every process of a run then compiles the
+standard library modules it imports too, so times are larger and noisier
+than with a warm cache; unset, a run's first process fills its cache.
 
 The output holds, per workload and end-to-end metric, each side's runs,
 median and quartiles, how many pairs the head won, whether the head's median
@@ -30,6 +35,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("base", "head")
@@ -49,7 +55,10 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: float, trace: int)
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    # A fresh, empty bytecode cache per run, so neither tree's __pycache__ is read.
+    with tempfile.TemporaryDirectory(prefix="pycache-") as cache:
+        env["PYTHONPYCACHEPREFIX"] = cache
+        done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{tree}: {' '.join(argv[1:])} exited {done.returncode}\n{done.stderr}")

@@ -16,8 +16,10 @@ its CPU (user plus system, from the rusage ``os.wait4`` returns), so the
 time a child waits for a core does not count. Printed as JSON: what was
 timed and by which clock, per side the median and quartiles in ms, the
 median paired head - base difference, and how many pairs the head won.
-``PYTHONDONTWRITEBYTECODE`` is passed through and recorded, because with it
-set every import compiles from source. ``BENCHFORGE_*`` variables are not
+Every child gets its own empty ``PYTHONPYCACHEPREFIX``, so it compiles every
+module it imports from source, the standard library's too, and no
+``__pycache__`` left in a tree biases it. ``PYTHONDONTWRITEBYTECODE`` is
+passed through and recorded. ``BENCHFORGE_*`` variables are not
 passed, so a worker's budget comes from its flags.
 
 Unlike the traced ``cli.import_ms`` of ``perfbench/run.py``, nothing else is
@@ -33,6 +35,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -42,10 +45,13 @@ def child_ms(args: list[str], tree: Path | None, cpu: bool) -> float:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH" and not k.startswith("BENCHFORGE_")}
     if tree is not None:
         env["PYTHONPATH"] = str(tree / "src")
-    started = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - started
+    # A fresh, empty bytecode cache per child, so neither tree's __pycache__ is read.
+    with tempfile.TemporaryDirectory(prefix="pycache-") as cache:
+        env["PYTHONPYCACHEPREFIX"] = cache
+        started = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - started
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
         raise SystemExit(f"python3 {' '.join(args)} exited {proc.returncode}")

@@ -80,7 +80,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if suite_hash is None:
             suite_hash = loaded.meta["suite_sha256"]
             metadata = {
-                "suite": loaded.meta["suite_name"],
+                "suite": loaded.suite.suite_name,
                 "suite_sha256": suite_hash,
                 "pool": loaded.meta.get("pool"),
             }

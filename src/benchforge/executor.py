@@ -28,15 +28,14 @@ from typing import Iterable, NamedTuple
 from .protocol import (
     CHUNK_BYTES,
     TERMINAL_KINDS,
-    MetricEvent,
     ObservationLog,
     Rejection,
     StreamDecoder,
     StreamItem,
 )
 from .suite import (
-    BenchmarkSpec, SuiteConfig, SuiteError, benchmark_violations, render_suite, resolve_command, text_sha256,
-    validate_suite,
+    BenchmarkSpec, SuiteConfig, SuiteError, benchmark_violations, parse_suite, render_suite, resolve_command,
+    text_sha256, validate_suite,
 )
 
 INSTALL_STAMP = ".installed"
@@ -96,16 +95,22 @@ class ProcessPlan(NamedTuple):
 
 
 class ProcessOutcome(NamedTuple):
-    """How one planned child ended."""
+    """How one planned child ended: its ``outcomes.json`` row, the log's counters standing for ``log``."""
 
-    plan: ProcessPlan
-    log: ObservationLog
+    rank: int
+    devices: list[str]  # the one device the child ran on
+    gang_id: str | None
     exit_code: int
     duration_s: float
-    classified: str  # one of {success, error, timeout}
     # The child's user plus system CPU and peak RSS, from its wait status; None when it never started.
-    cpu_s: float | None = None
-    maxrss_kb: int | None = None
+    cpu_s: float | None
+    maxrss_kb: int | None
+    classified: str  # one of CLASSES
+    log: ObservationLog
+
+
+CLASSES = ("success", "error", "timeout")
+_ROW_FIELDS = ProcessOutcome._fields[:-1]  # what a row holds as it is: every field but the log
 
 
 class RunRecord(NamedTuple):
@@ -235,13 +240,6 @@ class LogFold:
         self.add(self._decoder.finish())
         self.log.terminal = self._terminal or "error"
         return self.log
-
-
-def log_from_events(events: list[MetricEvent], process_id: str) -> ObservationLog:
-    """Rebuild an observation log from a decoded event stream."""
-    fold = LogFold(process_id)
-    fold.add(events)
-    return fold.finish()
 
 
 # Version of the fold sidecar: bump it whenever the fold rules or the layout change.
@@ -455,7 +453,10 @@ def _supervise_all(plans: list[ProcessPlan], out_dir: Path | str) -> list[Proces
         if child.plan.gang_id in failed and child.classified == "success":
             child.classified, child.log.message = "error", "gang member failed"
     return [
-        ProcessOutcome(c.plan, c.log, c.exit_code, c.duration, c.classified, c.cpu_s, c.maxrss_kb)
+        ProcessOutcome(
+            c.plan.rank, [c.plan.device], c.plan.gang_id, c.exit_code, c.duration, c.cpu_s, c.maxrss_kb,
+            c.classified, c.log,
+        )
         for c in children
     ]
 
@@ -627,21 +628,10 @@ def _run_bench(
 
 def _write_outcomes(bench_out: Path, record: RunRecord) -> None:
     rows = [
-        {
-            "rank": o.plan.rank,
-            "devices": [o.plan.device],
-            "gang_id": o.plan.gang_id,
-            "exit_code": o.exit_code,
-            "duration_s": o.duration_s,
-            "cpu_s": o.cpu_s,
-            "maxrss_kb": o.maxrss_kb,
-            "classified": o.classified,
-            "observations": len(o.log.work),
-            "message": o.log.message,
-            "rejected": o.log.rejected,
-            "rejection_reasons": o.log.rejection_reasons,
-            "faults": o.log.faults,
-        }
+        dict(
+            zip(_ROW_FIELDS, o), observations=len(o.log.work), message=o.log.message, rejected=o.log.rejected,
+            rejection_reasons=o.log.rejection_reasons, faults=o.log.faults,
+        )
         for o in record.outcomes
     ]
     payload = {
@@ -681,18 +671,22 @@ def load_run(run_dir: Path | str) -> LoadedRun:
     holds the fold of the stream as it now is, and otherwise from
     ``<rank>.jsonl``, read in ``CHUNK_BYTES`` chunks and folded by one
     ``LogFold`` as it is decoded. A stream that exists but cannot be read
-    raises ``OSError`` rather than yielding a shorter log, and an enabled
-    benchmark without ``outcomes.json`` raises ``ExecutorError`` rather
-    than folding as a total failure.
+    raises ``OSError`` rather than yielding a shorter log. Anything else
+    that would fail later or fold into a different score raises
+    ``ExecutorError``; docs/protocol.md, "Reading a run directory", lists it.
     """
-    from .suite import parse_suite
-
     run_dir = Path(run_dir)
     meta_path = run_dir / "meta.json"
     if not meta_path.exists():
         raise ExecutorError(f"{run_dir} is not a run directory (missing meta.json)")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    suite = parse_suite((run_dir / "suite.yaml").read_text(encoding="utf-8"))
+    meta = _json_object(meta_path)
+    if not isinstance(meta.get("system", ""), str):
+        raise ExecutorError(f"{meta_path}: system is not text")
+    # The bytes as read: suite.sha256() would hash a re-rendering of whatever parses from them.
+    suite_bytes = (run_dir / "suite.yaml").read_bytes()
+    if hashlib.sha256(suite_bytes).hexdigest() != meta.get("suite_sha256"):
+        raise ExecutorError(f"{run_dir / 'suite.yaml'} does not match the suite_sha256 in {meta_path}")
+    suite = parse_suite(suite_bytes.decode("utf-8"))
 
     records: dict[str, RunRecord] = {}
     for bench in suite.enabled_benchmarks():
@@ -700,26 +694,32 @@ def load_run(run_dir: Path | str) -> LoadedRun:
         outcomes_path = bench_dir / "outcomes.json"
         if not outcomes_path.exists():
             raise ExecutorError(f"{run_dir} is incomplete: benchmark {bench.name!r} has no outcomes.json")
-        payload = json.loads(outcomes_path.read_text(encoding="utf-8"))
+        payload = _json_object(outcomes_path)
+        rows = payload.get("outcomes")
+        if type(rows) is not list:
+            raise ExecutorError(f"{outcomes_path}: outcomes is not a list")
         outcomes = []
-        for row in payload["outcomes"]:
-            rank = row["rank"]
-            log = _load_log(bench_dir / f"{rank}.jsonl", f"{bench.name}/{rank}")
-            plan = ProcessPlan(
-                bench=bench.name,
-                rank=rank,
-                world_size=len(payload["outcomes"]),
-                device=(row.get("devices") or [""])[0],
-                env={},
-                command=(),
-                timeout_s=bench.timeout_s,
-                obs_min=bench.obs_min,
-                gang_id=row.get("gang_id"),
-            )
-            outcomes.append(ProcessOutcome(plan, log, row["exit_code"], row["duration_s"], row["classified"]))
+        for i, row in enumerate(rows):
+            if type(row) is not dict or row.get("rank") != i or type(row["rank"]) is not int:
+                raise ExecutorError(f"{outcomes_path}: row {i} is not an object with rank {i}")
+            if row.get("classified") not in CLASSES:
+                raise ExecutorError(f"{outcomes_path}: row {i} is not classified as one of {', '.join(CLASSES)}")
+            log = _load_log(bench_dir / f"{i}.jsonl", f"{bench.name}/{i}")
+            outcomes.append(ProcessOutcome(*map(row.get, _ROW_FIELDS), log))
         # report reads no phase timing, so none is loaded.
         records[bench.name] = RunRecord(bench.name, outcomes, {}, payload.get("error"))
     return LoadedRun(meta=meta, suite=suite, records=records)
+
+
+def _json_object(path: Path) -> dict:
+    """The JSON object that ``path`` holds; ExecutorError when it holds anything else."""
+    try:
+        value = json.loads(path.read_bytes())
+    except (ValueError, RecursionError) as exc:  # cut short, flipped or not UTF-8
+        raise ExecutorError(f"{path} is not valid JSON: {exc}") from None
+    if type(value) is not dict:
+        raise ExecutorError(f"{path} does not hold a JSON object")
+    return value
 
 
 def _load_log(stream: Path, process_id: str) -> ObservationLog:

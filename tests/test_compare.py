@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +41,22 @@ def test_layer_that_is_zero_at_base_has_no_ratio():
     assert moved["executor.log_from_events_ms"] == {"base": 0.0, "head": 0.0, "head_over_base": None}
     assert moved["cli.import_ms"] == {"base": 80.0, "head": 60.0, "head_over_base": 0.75}
     json.dumps(moved, allow_nan=False)
+
+
+def test_each_run_gets_a_fresh_empty_bytecode_cache(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(argv, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cache, list(cache.iterdir())))
+        (cache / "written.pyc").write_bytes(b"")
+        line = json.dumps({"metrics": {"op_s": {"value": 1.0}}})
+        return subprocess.CompletedProcess(argv, 0, line + "\n", "")
+
+    monkeypatch.setattr(compare.subprocess, "run", spy)
+    for tree in (tmp_path / "base", tmp_path / "head", tmp_path / "base"):
+        assert compare.bench_once(tree, "long-streams", 11, 1.0, 0)["metrics"] == {"op_s": 1.0}
+    caches = [cache for cache, _ in seen]
+    assert len(set(caches)) == 3
+    assert all(entries == [] for _, entries in seen)
+    assert not any(cache.exists() or tmp_path in cache.parents for cache in caches)

@@ -28,7 +28,6 @@ from benchforge.executor import (
     fold_sidecar,
     install,
     load_run,
-    log_from_events,
     log_from_sidecar,
     plan_launches,
     prepare,
@@ -556,7 +555,7 @@ class TestOneSupervisionLoop:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         _, (record,) = run(setup_suite(worker_bench(scale=scale)), POOL4, tmp_path, check_setup=False)
-        assert [o.plan.rank for o in record.outcomes] == [0, 1, 2, 3]
+        assert [o.rank for o in record.outcomes] == [0, 1, 2, 3]
         assert all(o.classified == "success" for o in record.outcomes)
 
     def test_quick_workers_end_together(self, tmp_path):
@@ -653,6 +652,13 @@ class TestChildAccounting:
         assert load_run(run_dir).meta == meta
 
 
+def _fold_events(events):
+    """The log LogFold makes of already decoded events."""
+    fold = LogFold("p")
+    fold.add(events)
+    return fold.finish()
+
+
 class TestLogFromEvents:
     def rate_line(self, batch, t0, t1, rate=1):
         return (
@@ -670,12 +676,12 @@ class TestLogFromEvents:
     )
     def test_extreme_stamps_are_faults_not_observations(self, batch, t0, t1):
         events = [decode_event(self.rate_line(2, 0, 1)), decode_event(self.rate_line(batch, t0, t1))]
-        log = log_from_events(events, "p")
+        log = _fold_events(events)
         assert (log.rates(), log.faults) == ([2.0], 1)
 
     def test_extreme_rate_without_stamps_is_a_fault(self):
         line = '{"event":"rate","time":1,"task":"train","data":{"batch":1e300,"rate":1e-300,"units":"x"}}'
-        log = log_from_events([decode_event(line)], "p")
+        log = _fold_events([decode_event(line)])
         assert (log.rates(), log.faults) == ([], 1)
 
 
@@ -740,7 +746,7 @@ class TestLogFold:
         events = [item for item in items if isinstance(item, MetricEvent)]
         rejections = [item for item in items if isinstance(item, Rejection)]
         log = _folded(chunks)
-        for got in (log, log_from_events(events, "p")):
+        for got in (log, _fold_events(events)):
             assert (got.observations, got.faults, got.terminal, got.message) == _reference_log(events)
         assert log.rejected == len(rejections)
         assert log.rejection_reasons == [r.reason for r in rejections[:REASONS_KEPT]]

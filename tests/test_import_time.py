@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +26,20 @@ def test_one_rep_prints_the_summary(flags, program, clock, capsys):
         assert ms["q1"] == ms["median"] == ms["q3"] > 0
     assert doc["head_wins"] in (0, 1)
     assert doc["head_minus_base_ms_median"] == doc["ms"]["head"]["median"] - doc["ms"]["base"]["median"]
+
+
+def test_each_child_gets_a_fresh_empty_bytecode_cache(monkeypatch):
+    seen = []
+    popen = import_time.subprocess.Popen
+
+    def spy(args, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cache, list(cache.iterdir())))
+        return popen(args, env=env, **kwargs)
+
+    monkeypatch.setattr(import_time.subprocess, "Popen", spy)
+    for _ in range(2):
+        import_time.child_ms(["-c", "pass"], REPO_DIR, False)
+    (first, first_entries), (second, second_entries) = seen
+    assert first != second and first_entries == second_entries == []
+    assert not first.exists() and not second.exists()

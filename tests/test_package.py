@@ -11,7 +11,7 @@ import pytest
 import benchforge
 from benchforge.aggregate import BenchResult, RatioRow, SuiteScore
 from benchforge.design import ClassMetrics, CoverageReport, MLCMatrix
-from benchforge.executor import ProcessOutcome, ProcessPlan, RunRecord
+from benchforge.executor import ProcessOutcome, RunRecord
 from benchforge.protocol import MetricEvent, Observation, ObservationLog, Rejection
 from benchforge.report import Cell, GlobalCell, ReportDocument, ReportRow
 from benchforge.suite import BenchmarkDefaults, BenchmarkSpec, CoverageTargets, SuiteConfig, TaxonomyTags
@@ -141,8 +141,7 @@ class TestPackageSurface:
             benchforge.nope
 
 
-# One plan and one log, so that two outcomes made from them compare equal.
-PLAN = ProcessPlan("b", 0, 1, "d0", {}, ("w",), 60.0, 5)
+# One log, so that two outcomes made with it compare equal.
 LOG = ObservationLog("b/0")
 FROZEN = [
     (MetricEvent, "data", lambda: MetricEvent("rate", 1.0, "train", {"rate": 2.0})),
@@ -160,7 +159,7 @@ FROZEN = [
     (RatioRow, "ratio", lambda: RatioRow("b", 1.0, 2.0, 2.0)),
     (CoverageReport, "deviation", lambda: CoverageReport({"domains": {"NLP": 1.0}}, {}, 1.0)),
     (ClassMetrics, "recall", lambda: ClassMetrics(("A",), {"A": 50.0}, {"A": None})),
-    (ProcessOutcome, "classified", lambda: ProcessOutcome(PLAN, LOG, 0, 1.0, "success")),
+    (ProcessOutcome, "classified", lambda: ProcessOutcome(0, ["d0"], None, 0, 1.0, 0.5, 1024, "success", LOG)),
     (RunRecord, "outcomes", lambda: RunRecord("b", [], {"run": 1.0}, "no plan")),
     (Cell, "perf", lambda: Cell(2.0, 1.0, 0.5)),
     (ReportRow, "cells", lambda: ReportRow("b", 1.0, {"s": Cell(2.0, 1.0)})),
