@@ -11,11 +11,12 @@ Each seed runs ``perfbench/run.py`` as it stands in each tree, once per tree,
 alternating which tree goes first, for the ``run_seconds`` of the head's
 ``BENCHMARK.json``. One traced pair per workload (``--trace 1``, seed of the
 first pair) follows. ``--workload`` may be given more than once. Each run
-gets its own empty ``PYTHONPYCACHEPREFIX``, so every run of either tree
-compiles from source and no ``__pycache__`` left in a tree biases it. With
-``PYTHONDONTWRITEBYTECODE`` set, every process of a run then compiles the
-standard library modules it imports too, so times are larger and noisier
-than with a warm cache; unset, a run's first process fills its cache.
+starts in a fresh temporary copy of its tree without any ``__pycache__``
+(``TREE_COPY_IGNORE``), so no bytecode left in a tree biases it, and
+``PYTHONPYCACHEPREFIX`` is left unset, so the standard library's installed
+bytecode is read as usual. With ``PYTHONDONTWRITEBYTECODE`` set, every
+process of a run compiles the tree's modules from source; unset, a run's
+first process writes their bytecode into the copy.
 
 The output holds, per workload and end-to-end metric, each side's runs,
 median and quartiles, how many pairs the head won, whether the head's median
@@ -32,6 +33,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -39,6 +41,8 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("base", "head")
+# Left out of a run's copy of a tree: cached bytecode, and what no run reads.
+TREE_COPY_IGNORE = shutil.ignore_patterns("__pycache__", ".git", ".bench_work")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -54,11 +58,12 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: float, trace: int)
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    # A fresh, empty bytecode cache per run, so neither tree's __pycache__ is read.
-    with tempfile.TemporaryDirectory(prefix="pycache-") as cache:
-        env["PYTHONPYCACHEPREFIX"] = cache
-        done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONPYCACHEPREFIX")}
+    # A fresh copy of the tree per run, so neither tree's __pycache__ is read.
+    with tempfile.TemporaryDirectory(prefix="tree-") as tmp:
+        copy = Path(tmp) / "tree"
+        shutil.copytree(tree, copy, ignore=TREE_COPY_IGNORE)
+        done = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{tree}: {' '.join(argv[1:])} exited {done.returncode}\n{done.stderr}")

@@ -16,11 +16,14 @@ its CPU (user plus system, from the rusage ``os.wait4`` returns), so the
 time a child waits for a core does not count. Printed as JSON: what was
 timed and by which clock, per side the median and quartiles in ms, the
 median paired head - base difference, and how many pairs the head won.
-Every child gets its own empty ``PYTHONPYCACHEPREFIX``, so it compiles every
-module it imports from source, the standard library's too, and no
-``__pycache__`` left in a tree biases it. ``PYTHONDONTWRITEBYTECODE`` is
-passed through and recorded. ``BENCHFORGE_*`` variables are not
-passed, so a worker's budget comes from its flags.
+Every tree's child imports from a fresh temporary copy of ``<tree>/src``
+without any ``__pycache__``, so no bytecode left in a tree biases it, and
+``PYTHONPYCACHEPREFIX`` is left unset, so the standard library's installed
+bytecode is read as usual. With ``PYTHONDONTWRITEBYTECODE`` set, which is
+passed through and recorded, the child compiles the tree's modules from
+source; unset, it compiles them and writes their bytecode into the copy.
+``BENCHFORGE_*`` variables are not passed, so a worker's budget comes from
+its flags.
 
 Unlike the traced ``cli.import_ms`` of ``perfbench/run.py``, nothing else is
 imported before the module, so modules the tracer loads first (``inspect``,
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -42,12 +46,15 @@ from pathlib import Path
 
 def child_ms(args: list[str], tree: Path | None, cpu: bool) -> float:
     """Milliseconds of ``python3 <args>``, wall or CPU, with ``<tree>/src`` first on the path."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH" and not k.startswith("BENCHFORGE_")}
-    if tree is not None:
-        env["PYTHONPATH"] = str(tree / "src")
-    # A fresh, empty bytecode cache per child, so neither tree's __pycache__ is read.
-    with tempfile.TemporaryDirectory(prefix="pycache-") as cache:
-        env["PYTHONPYCACHEPREFIX"] = cache
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("PYTHONPATH", "PYTHONPYCACHEPREFIX") and not k.startswith("BENCHFORGE_")
+    }
+    # A fresh copy of the tree's sources per child, so neither tree's __pycache__ is read.
+    with tempfile.TemporaryDirectory(prefix="src-") as tmp:
+        if tree is not None:
+            env["PYTHONPATH"] = str(Path(tmp) / "src")
+            shutil.copytree(tree / "src", env["PYTHONPATH"], ignore=shutil.ignore_patterns("__pycache__"))
         started = time.perf_counter()
         proc = subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)

@@ -32,6 +32,7 @@ from .protocol import (
     Rejection,
     StreamDecoder,
     StreamItem,
+    _reject_constant,
 )
 from .suite import (
     BenchmarkSpec, SuiteConfig, SuiteError, benchmark_violations, parse_suite, render_suite, resolve_command,
@@ -686,7 +687,11 @@ def load_run(run_dir: Path | str) -> LoadedRun:
     suite_bytes = (run_dir / "suite.yaml").read_bytes()
     if hashlib.sha256(suite_bytes).hexdigest() != meta.get("suite_sha256"):
         raise ExecutorError(f"{run_dir / 'suite.yaml'} does not match the suite_sha256 in {meta_path}")
-    suite = parse_suite(suite_bytes.decode("utf-8"))
+    try:
+        suite_text = suite_bytes.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SuiteError(f"{run_dir / 'suite.yaml'} is not UTF-8: {exc}") from None
+    suite = parse_suite(suite_text)
 
     records: dict[str, RunRecord] = {}
     for bench in suite.enabled_benchmarks():
@@ -714,8 +719,8 @@ def load_run(run_dir: Path | str) -> LoadedRun:
 def _json_object(path: Path) -> dict:
     """The JSON object that ``path`` holds; ExecutorError when it holds anything else."""
     try:
-        value = json.loads(path.read_bytes())
-    except (ValueError, RecursionError) as exc:  # cut short, flipped or not UTF-8
+        value = json.loads(path.read_bytes(), parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:  # cut short, flipped, not UTF-8, or NaN or Infinity
         raise ExecutorError(f"{path} is not valid JSON: {exc}") from None
     if type(value) is not dict:
         raise ExecutorError(f"{path} does not hold a JSON object")

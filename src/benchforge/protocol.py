@@ -140,10 +140,6 @@ class ObservationLog:
         self.warmup.append(1 if warmup else 0)
         self.task_index.append(self.tasks.setdefault(task, len(self.tasks)))
 
-    def extend(self, observations: Iterable[Observation]) -> None:
-        for o in observations:
-            self.add(o.work, o.elapsed, o.warmup, o.task)
-
     @property
     def observations(self) -> tuple[Observation, ...]:
         """The observations as ``Observation`` values, built anew on each access."""

@@ -161,8 +161,12 @@ def parse_suite(text: str) -> SuiteConfig:
 
 
 def load_suite(path: Any) -> SuiteConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_suite(f.read())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise SuiteError(f"{path} is not UTF-8: {exc}") from None
+    return parse_suite(text)
 
 
 def validate_suite(cfg: SuiteConfig) -> list[str]:

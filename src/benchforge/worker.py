@@ -1,10 +1,10 @@
 """Reference measurement loop over synthetic workloads.
 
 Timing stamps are captured back-to-back inside the hot loop with almost
-no overhead; rates are computed and logged only when the epoch buffer is
-flushed, so instrumentation never perturbs the measured region. A virtual
-clock stands in for device timelines: identical (spec, seed, config)
-produce byte-identical metric streams.
+no overhead; rates are computed and logged only when the epoch's stamps
+are flushed, so instrumentation never perturbs the measured region. A
+virtual clock stands in for device timelines: identical (spec, seed,
+config) produce byte-identical metric streams.
 
 Also the ``benchforge-worker`` CLI, the process the executor supervises.
 """
@@ -18,9 +18,9 @@ import os
 import random
 import sys
 import time as _time
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .protocol import MetricEvent, Observation, ObservationLog, encode_event
+from .protocol import MetricEvent, encode_event
 
 WORKLOAD_KINDS = ("constant", "jitter", "degrading", "crashing", "multiworker")
 
@@ -102,27 +102,6 @@ class WorkloadSpec(_WorkloadSpecFields):
         )
 
 
-class EventSink:
-    """Collects emitted events; subclasses forward them somewhere real."""
-
-    def __init__(self) -> None:
-        self.events: list[MetricEvent] = []
-
-    def emit(self, event: MetricEvent) -> None:
-        self.events.append(event)
-
-
-class LineSink(EventSink):
-    """Writes each event as one protocol line, and keeps none. Writes are line-atomic."""
-
-    def __init__(self, fp) -> None:
-        self._fp = fp
-
-    def emit(self, event: MetricEvent) -> None:
-        self._fp.write(encode_event(event))
-        self._fp.flush()
-
-
 class SyntheticWorkload:
     """Deterministic batch stream for one worker.
 
@@ -163,105 +142,82 @@ class SyntheticWorkload:
             yield spec.batch_size, elapsed, loss
 
 
-class EpochBuffer:
-    """Timing tuples recorded during an epoch, not yet resolved.
-
-    Nothing is logged while ``pending`` grows; tuples are resolved into
-    observations (and metric lines) only by ``flush_epoch``.
-    """
-
-    def __init__(self) -> None:
-        self.pending: list[tuple[float, float, float, float | None]] = []
-        self.faults = 0
-
-    def record(self, start: float, end: float, work: float, loss: float | None) -> None:
-        self.pending.append((start, end, work, loss))
-
-
 def flush_epoch(
-    buf: EpochBuffer,
-    sink: EventSink | None = None,
+    pending: list[tuple[float, float, float, float | None]],
+    emit: Callable[[MetricEvent], None],
     *,
+    time: float,
     task: str = "train",
     units: str = "items",
-    time: float | None = None,
     emitted_before: int = 0,
-) -> list[Observation]:
-    """Resolve an epoch's pending tuples into observations, in order.
+) -> int:
+    """Emit an epoch's pending tuples as metric lines, in order; return the rate lines emitted.
 
-    Emits one ``rate`` line (and one ``loss`` line when a loss was
-    recorded) per observation. Tuples whose end stamp does not lie after
-    their start stamp are dropped and counted on ``buf.faults``. The
-    buffer is empty afterwards.
-
-    ``emitted_before`` is the number of observations this process already
-    flushed; the very first one is flagged as warmup.
+    One ``rate`` line per tuple, after a ``loss`` line when a loss was
+    recorded, all stamped ``time``. A tuple whose end stamp does not lie
+    after its start stamp is dropped. ``pending`` is empty afterwards.
+    ``emitted_before`` counts the rate lines this process already emitted;
+    the very first one is flagged as warmup.
     """
-    observations: list[Observation] = []
-    pending, buf.pending = buf.pending, []
-    stamp = time if time is not None else (pending[-1][1] if pending else 0.0)
+    emitted = 0
     for start, end, work, loss in pending:
         if end <= start:
-            buf.faults += 1
-            continue
-        warmup = emitted_before + len(observations) == 0
-        obs = Observation(work=work, elapsed=end - start, warmup=warmup, task=task)
-        observations.append(obs)
-        if sink is None:
             continue
         if loss is not None:
-            sink.emit(MetricEvent("loss", stamp, task, {"loss": loss}))
+            emit(MetricEvent("loss", time, task, {"loss": loss}))
         payload = {
-            "rate": obs.rate,
+            "rate": work / (end - start),
             "units": units,
             "batch": work,
             "t0": start,
             "t1": end,
         }
-        if warmup:
+        if emitted_before + emitted == 0:
             payload["warmup"] = True
-        sink.emit(MetricEvent("rate", stamp, task, payload))
-    return observations
+        emit(MetricEvent("rate", time, task, payload))
+        emitted += 1
+    pending.clear()
+    return emitted
 
 
 def timed_iterate(
     workload: WorkloadSpec | SyntheticWorkload,
     cfg: TimerConfig,
-    sink: EventSink | None = None,
+    emit: Callable[[MetricEvent], None],
     *,
     seed: int = 0,
     task: str = "train",
-) -> ObservationLog:
-    """Run the measurement loop over a synthetic workload.
+) -> str | None:
+    """Run the measurement loop over a synthetic workload, passing each event to ``emit``.
 
-    On success the observation count lands in [obs_min, obs_max]; the
-    budget check runs right after each batch is recorded, so the
-    (obs_max + 1)-th batch is never started. Rate lines appear in the
-    stream only at epoch flushes. The clock is a float of virtual
-    seconds, advanced by each batch's sampled duration.
+    Returns None on success, else the stream's error message; the loop
+    keeps no fold of its own. On success the rate-line count lands in
+    [obs_min, obs_max]; the budget check runs right after each batch is
+    recorded, so the (obs_max + 1)-th batch is never started. Rate lines
+    appear in the stream only at epoch flushes. The clock is a float of
+    virtual seconds, advanced by each batch's sampled duration.
     """
     behavior = SyntheticWorkload(workload, seed) if isinstance(workload, WorkloadSpec) else workload
     spec = behavior.spec
     if spec.kind == "multiworker":
-        return _iterate_multiworker(spec, cfg, sink, seed=behavior.seed)
+        return _iterate_multiworker(spec, cfg, emit, seed=behavior.seed)
 
-    sink = sink if sink is not None else EventSink()
-    log = ObservationLog(process_id=task)
     now = 0.0
 
-    def emit(kind: str, data: dict) -> None:
-        sink.emit(MetricEvent(kind, now, task, data))
+    def emit_now(kind: str, data: dict) -> None:
+        emit(MetricEvent(kind, now, task, data))
 
-    emit("config", _spec_payload(spec, cfg, behavior.seed))
-    emit("start", {})
+    emit_now("config", _spec_payload(spec, cfg, behavior.seed))
+    emit_now("start", {})
+    pending: list[tuple[float, float, float, float | None]] = []  # (start, end, work, loss) of this epoch
     recorded = 0  # batches recorded, before flush_epoch drops any faulty stamps
+    emitted = 0  # rate lines emitted
     crash: str | None = None
     for epoch in range(cfg.epochs_max):
-        buf = EpochBuffer()
         try:
             for work, elapsed, loss in behavior.epoch_batches(epoch):
                 start, now = now, now + elapsed
-                buf.record(start, now, work, loss)
+                pending.append((start, now, work, loss))
                 recorded += 1
                 # Budget check sits right after the batch is recorded,
                 # before the next batch would start.
@@ -269,81 +225,56 @@ def timed_iterate(
                     break
         except WorkloadCrash as exc:
             crash = str(exc)
-        emit("phase", {"phase": "flush", "epoch": epoch})
-        log.extend(flush_epoch(buf, sink, task=task, units=spec.units, time=now, emitted_before=len(log.work)))
-        log.faults += buf.faults
-        emit("progress", {"observations": len(log.work), "budget": cfg.obs_max})
+        emit_now("phase", {"phase": "flush", "epoch": epoch})
+        emitted += flush_epoch(pending, emit, time=now, task=task, units=spec.units, emitted_before=emitted)
+        emit_now("progress", {"observations": emitted, "budget": cfg.obs_max})
         if crash is not None:
             break
         if recorded >= cfg.obs_max:
-            emit("stop", {"reason": "observation budget reached"})
+            emit_now("stop", {"reason": "observation budget reached"})
             break
 
+    message = crash
     if crash is not None:
-        log.message = crash
-        emit("error", {"message": crash})
-    elif len(log.work) >= cfg.obs_min:
-        log.terminal = "success"
-        emit("success", {"observations": len(log.work)})
+        emit_now("error", {"message": crash})
+    elif emitted >= cfg.obs_min:
+        emit_now("success", {"observations": emitted})
     else:
-        log.message = "insufficient observations"
-        emit(
-            "error",
-            {
-                "message": "insufficient observations",
-                "observations": len(log.work),
-                "obs_min": cfg.obs_min,
-            },
-        )
-    emit("end", {})
-    return log
+        message = "insufficient observations"
+        emit_now("error", {"message": message, "observations": emitted, "obs_min": cfg.obs_min})
+    emit_now("end", {})
+    return message
 
 
 def _iterate_multiworker(
-    spec: WorkloadSpec, cfg: TimerConfig, sink: EventSink | None, *, seed: int
-) -> ObservationLog:
+    spec: WorkloadSpec, cfg: TimerConfig, emit: Callable[[MetricEvent], None], *, seed: int
+) -> str | None:
     """Simulate ``spec.workers`` concurrent emitters with distinct task ids.
 
     Each worker runs its own loop on its own virtual timeline; the merged
     stream interleaves events by virtual time, which keeps the whole run
     deterministic. Terminal events are emitted once, by the supervisor
-    task, never by the workers.
+    task, never by the workers. Returns the last failing worker's message.
     """
     single = spec._replace(kind="jitter" if spec.jitter_frac > 0 else "constant", workers=1)
-    merged = ObservationLog(process_id="main")
-    worker_events: list[MetricEvent] = []
-    all_ok = True
+    events: list[MetricEvent] = []
+    message: str | None = None
     for w in range(spec.workers):
-        capture = EventSink()
-        wlog = timed_iterate(
-            single, cfg, capture, seed=seed + 7919 * w, task=f"worker-{w}"
-        )
-        # Workers never emit process-terminal events themselves.
-        worker_events.extend(
-            e for e in capture.events if e.event not in ("success", "error", "end")
-        )
-        merged.extend(wlog.observations)
-        merged.faults += wlog.faults
-        if wlog.terminal != "success":
-            all_ok = False
-            merged.message = wlog.message or merged.message
-    worker_events.sort(key=lambda e: e.time)
-
-    out = sink if sink is not None else EventSink()
+        failure = timed_iterate(single, cfg, events.append, seed=seed + 7919 * w, task=f"worker-{w}")
+        message = failure if failure is not None else message
+    # Workers never emit process-terminal events themselves.
+    worker_events = sorted((e for e in events if e.event not in ("success", "error", "end")), key=lambda e: e.time)
     end_time = worker_events[-1].time if worker_events else 0.0
-    out.emit(MetricEvent("config", 0.0, "main", _spec_payload(spec, cfg, seed)))
+    emit(MetricEvent("config", 0.0, "main", _spec_payload(spec, cfg, seed)))
     for event in worker_events:
-        out.emit(event)
-    if all_ok:
-        merged.terminal = "success"
-        out.emit(
-            MetricEvent("success", end_time, "main", {"observations": len(merged.work)})
-        )
+        emit(event)
+    if message is None:
+        observations = sum(1 for e in worker_events if e.event == "rate")
+        emit(MetricEvent("success", end_time, "main", {"observations": observations}))
     else:
-        merged.terminal = "error"
-        out.emit(MetricEvent("error", end_time, "main", {"message": merged.message or "worker failed"}))
-    out.emit(MetricEvent("end", end_time, "main", {}))
-    return merged
+        emit(MetricEvent("error", end_time, "main", {"message": message}))
+    emit(MetricEvent("end", end_time, "main", {}))
+    return message
 
 
 def _check_virtual_time(spec: WorkloadSpec, cfg: TimerConfig) -> None:
@@ -458,17 +389,21 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     channel = _open_metric_channel()
+
+    def emit(event: MetricEvent) -> None:
+        # Flushed per line: the harness folds the stream live, and a killed worker loses no line it emitted.
+        channel.write(encode_event(event))
+        channel.flush()
+
     try:
-        log = timed_iterate(spec, cfg, LineSink(channel), seed=args.seed, task=args.task)
+        message = timed_iterate(spec, cfg, emit, seed=args.seed, task=args.task)
     finally:
         if channel is not sys.stdout:
             channel.close()
 
-    if log.terminal == "success":
+    if message is None:
         return 0
-    if log.message == "insufficient observations":
-        return 2
-    return 1
+    return 2 if message == "insufficient observations" else 1
 
 
 if __name__ == "__main__":

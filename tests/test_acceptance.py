@@ -19,7 +19,6 @@ from benchforge.aggregate import BenchResult, suite_score
 from benchforge.design import MLCMatrix, mlcm_metrics
 from benchforge.protocol import MetricEvent, decode_event, encode_event, read_stream
 from benchforge.worker import SyntheticWorkload, TimerConfig, WorkloadSpec, timed_iterate
-from benchforge.worker import EventSink
 
 from conftest import WORKER_CMD, printed_ulp, printed_value
 from test_design import (
@@ -29,6 +28,7 @@ from test_design import (
     MODEL_TYPE_RECALL,
 )
 from test_protocol import make_random_event
+from test_worker import fold
 
 
 def criterion(name):
@@ -175,21 +175,23 @@ def test_measurement_budget_property():
             epochs_max=rng.randint(1, 8),
         )
         seed = rng.randint(0, 10_000)
-        sink = EventSink()
+        events = []
         if spec.kind == "multiworker":
-            log = timed_iterate(spec, cfg, sink, seed=seed)
+            timed_iterate(spec, cfg, events.append, seed=seed)
+            log = fold(events)
             if log.terminal == "success":
                 for worker in {o.task for o in log.observations}:
                     count = sum(1 for o in log.observations if o.task == worker)
                     assert cfg.obs_min <= count <= cfg.obs_max, (case, worker, count)
         else:
             behavior = SyntheticWorkload(spec, seed)
-            log = timed_iterate(behavior, cfg, sink)
+            timed_iterate(behavior, cfg, events.append)
+            log = fold(events)
             # The (obs_max + 1)-th batch never starts.
             assert behavior.batches_started <= cfg.obs_max, case
             if log.terminal == "success":
                 assert cfg.obs_min <= len(log.observations) <= cfg.obs_max, case
-        assert_deferred_emission(sink.events)
+        assert_deferred_emission(events)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"budget property took {elapsed:.1f}s"
 

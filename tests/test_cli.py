@@ -321,6 +321,16 @@ class TestSelectAndErrors:
         rc = main(["install", "--config", str(bad), "--base-dir", str(tmp_path)])
         assert rc == 4
 
+    def test_suite_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        suite = tmp_path / "latin1.yaml"
+        suite.write_bytes(b"suite: s\xff\nbenchmarks:\n  - {name: a, run_cmd: w}\n")
+        rc = main(["install", "--config", str(suite), "--base-dir", str(tmp_path / "base")])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"benchforge: {suite} is not UTF-8: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "base").exists()
+
     def test_int_past_the_float_range_is_config_error(self, tmp_path, capsys):
         suite = tmp_path / "huge.yaml"
         timeout = "1" + "0" * 400

@@ -43,20 +43,33 @@ def test_layer_that_is_zero_at_base_has_no_ratio():
     json.dumps(moved, allow_nan=False)
 
 
+def _tree_with_bytecode(root: Path) -> Path:
+    (root / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (root / "src" / "pkg" / "__init__.py").write_text("")
+    (root / "src" / "pkg" / "__pycache__" / "__init__.cpython.pyc").write_bytes(b"stale")
+    return root
+
+
 def test_each_run_gets_a_fresh_empty_bytecode_cache(tmp_path, monkeypatch):
+    # Each run starts in its own copy of the tree, without the tree's __pycache__, and with no
+    # PYTHONPYCACHEPREFIX: with PYTHONDONTWRITEBYTECODE set, a prefix would recompile the stdlib.
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "inherited"))
     seen = []
 
     def spy(argv, cwd, env, **kwargs):
-        cache = Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((cache, list(cache.iterdir())))
-        (cache / "written.pyc").write_bytes(b"")
+        cwd = Path(cwd)
+        seen.append((cwd, sorted(p.relative_to(cwd).as_posix() for p in cwd.rglob("*"))))
+        assert "PYTHONPYCACHEPREFIX" not in env
+        (cwd / "src" / "pkg" / "__pycache__").mkdir()  # what a run writes stays in its copy
         line = json.dumps({"metrics": {"op_s": {"value": 1.0}}})
         return subprocess.CompletedProcess(argv, 0, line + "\n", "")
 
     monkeypatch.setattr(compare.subprocess, "run", spy)
-    for tree in (tmp_path / "base", tmp_path / "head", tmp_path / "base"):
+    trees = [_tree_with_bytecode(tmp_path / side) for side in ("base", "head")]
+    for tree in (*trees, trees[0]):
         assert compare.bench_once(tree, "long-streams", 11, 1.0, 0)["metrics"] == {"op_s": 1.0}
-    caches = [cache for cache, _ in seen]
-    assert len(set(caches)) == 3
-    assert all(entries == [] for _, entries in seen)
-    assert not any(cache.exists() or tmp_path in cache.parents for cache in caches)
+    copies = [cwd for cwd, _ in seen]
+    assert len(set(copies)) == 3
+    assert all(entries == ["src", "src/pkg", "src/pkg/__init__.py"] for _, entries in seen)
+    assert not any(cwd.exists() or tmp_path in cwd.parents for cwd in copies)
+    assert all((tree / "src" / "pkg" / "__pycache__" / "__init__.cpython.pyc").exists() for tree in trees)

@@ -28,18 +28,27 @@ def test_one_rep_prints_the_summary(flags, program, clock, capsys):
     assert doc["head_minus_base_ms_median"] == doc["ms"]["head"]["median"] - doc["ms"]["base"]["median"]
 
 
-def test_each_child_gets_a_fresh_empty_bytecode_cache(monkeypatch):
+def test_each_child_gets_a_fresh_empty_bytecode_cache(tmp_path, monkeypatch):
+    # Each child imports from its own copy of <tree>/src, without the tree's __pycache__, and
+    # with no PYTHONPYCACHEPREFIX: with PYTHONDONTWRITEBYTECODE set, a prefix would recompile the stdlib.
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "inherited"))
+    tree = tmp_path / "tree"
+    (tree / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (tree / "src" / "pkg" / "__init__.py").write_text("")
+    (tree / "src" / "pkg" / "__pycache__" / "__init__.cpython.pyc").write_bytes(b"stale")
     seen = []
     popen = import_time.subprocess.Popen
 
     def spy(args, env, **kwargs):
-        cache = Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((cache, list(cache.iterdir())))
+        src = Path(env["PYTHONPATH"])
+        seen.append((src, sorted(p.relative_to(src).as_posix() for p in src.rglob("*"))))
+        assert "PYTHONPYCACHEPREFIX" not in env
         return popen(args, env=env, **kwargs)
 
     monkeypatch.setattr(import_time.subprocess, "Popen", spy)
     for _ in range(2):
-        import_time.child_ms(["-c", "pass"], REPO_DIR, False)
+        import_time.child_ms(["-c", "import pkg"], tree, False)
     (first, first_entries), (second, second_entries) = seen
-    assert first != second and first_entries == second_entries == []
-    assert not first.exists() and not second.exists()
+    assert first != second and first_entries == second_entries == ["pkg", "pkg/__init__.py"]
+    assert tree not in first.parents and not first.exists() and not second.exists()
+    assert (tree / "src" / "pkg" / "__pycache__" / "__init__.cpython.pyc").read_bytes() == b"stale"

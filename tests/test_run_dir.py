@@ -7,6 +7,7 @@ silently different score. Each directory is written by ``write_run`` of
 the differential test, with no child process.
 """
 
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -64,6 +65,12 @@ def _reweigh(path):
     path.write_text(text.replace("weight: 1.0\n", "weight: 100.0\n"))
 
 
+def _suite_not_utf8(path):
+    data = path.read_bytes() + b"# \xff\n"
+    path.write_bytes(data)
+    _edit_json(lambda meta: meta.update(suite_sha256=hashlib.sha256(data).hexdigest()))(path.parent / "meta.json")
+
+
 PROBES = {
     "outcomes-cut-to-100-bytes": ("b0/outcomes.json", _cut(100)),
     "meta-cut-short": ("meta.json", _cut(40)),
@@ -73,6 +80,8 @@ PROBES = {
     "misspelled-class": ("b0/outcomes.json", _edit_row(_misspell_class)),
     "edited-suite": ("suite.yaml", _reweigh),
     "system-not-text": ("meta.json", _edit_json(lambda meta: meta.update(system=[1]))),
+    "pool-is-nan": ("meta.json", _edit_json(lambda meta: meta.update(pool=float("nan")))),
+    "suite-not-utf8": ("suite.yaml", _suite_not_utf8),
 }
 
 

@@ -7,10 +7,8 @@ import random
 
 import pytest
 
-from benchforge.protocol import ObservationLog
+from benchforge.executor import LogFold
 from benchforge.worker import (
-    EpochBuffer,
-    EventSink,
     TimerConfig,
     WorkloadSpec,
     flush_epoch,
@@ -20,10 +18,17 @@ from benchforge.worker import (
 )
 
 
-def run_workload(spec: WorkloadSpec, cfg: TimerConfig, seed: int = 0):
-    sink = EventSink()
-    log = timed_iterate(spec, cfg, sink, seed=seed)
-    return log, sink.events
+def fold(events):
+    """The harness's fold of a worker's events: its ObservationLog."""
+    log_fold = LogFold("worker")
+    log_fold.add(events)
+    return log_fold.finish()
+
+
+def run_workload(workload: WorkloadSpec | SyntheticWorkload, cfg: TimerConfig, seed: int = 0):
+    events = []
+    timed_iterate(workload, cfg, events.append, seed=seed)
+    return fold(events), events
 
 
 class TestBudget:
@@ -38,7 +43,7 @@ class TestBudget:
     def test_stop_mid_third_epoch_with_epoch_25(self):
         spec = WorkloadSpec(kind="constant", batches_per_epoch=25)
         behavior = SyntheticWorkload(spec, seed=0)
-        log = timed_iterate(behavior, TimerConfig(obs_min=30, obs_max=60))
+        log, _ = run_workload(behavior, TimerConfig(obs_min=30, obs_max=60))
         assert log.terminal == "success"
         assert len(log.observations) == 60
         # Budget check fires before the 61st batch would start.
@@ -67,58 +72,63 @@ class TestBudget:
         assert kinds[-2:] == ["error", "end"]
 
 
+def rates_of(events):
+    return [e.data["rate"] for e in events if e.event == "rate"]
+
+
 class TestFlush:
     def test_three_tuples_constant_rate(self):
-        buf = EpochBuffer()
-        for i in range(3):
-            buf.record(i * 0.5, (i + 1) * 0.5, 32, None)
-        observations = flush_epoch(buf)
-        assert [o.rate for o in observations] == [64.0, 64.0, 64.0]
-        assert buf.pending == []
+        pending = [(i * 0.5, (i + 1) * 0.5, 32, None) for i in range(3)]
+        events = []
+        assert flush_epoch(pending, events.append, time=1.5) == 3
+        assert rates_of(events) == [64.0, 64.0, 64.0]
+        assert pending == []
 
     def test_empty_buffer(self):
-        sink = EventSink()
-        assert flush_epoch(EpochBuffer(), sink) == []
-        assert sink.events == []
+        events = []
+        assert flush_epoch([], events.append, time=0.0) == 0
+        assert events == []
 
     def test_randomized_tuples_match_recomputation(self):
         rng = random.Random(11)
-        buf = EpochBuffer()
+        pending = []
         expected = []
         t = 0.0
         for _ in range(200):
             elapsed = rng.uniform(1e-4, 3.0)
             work = rng.randint(1, 512)
-            buf.record(t, t + elapsed, work, None)
+            pending.append((t, t + elapsed, work, None))
             expected.append(work / elapsed)  # independent recomputation
             t += elapsed
-        observations = flush_epoch(buf)
-        assert len(observations) == 200
-        for obs, want in zip(observations, expected):
-            assert obs.rate == pytest.approx(want, rel=1e-12)
+        events = []
+        assert flush_epoch(pending, events.append, time=t) == 200
+        rates = rates_of(events)
+        assert len(rates) == 200
+        for rate, want in zip(rates, expected):
+            assert rate == pytest.approx(want, rel=1e-12)
 
     def test_backwards_stamps_dropped_and_counted(self):
-        buf = EpochBuffer()
-        buf.record(0.0, 1.0, 10, None)
-        buf.record(2.0, 1.5, 10, None)  # end before start: measurement fault
-        buf.record(3.0, 3.0, 10, None)  # zero elapsed: also invalid
-        observations = flush_epoch(buf)
-        assert len(observations) == 1
-        assert buf.faults == 2
+        pending = [
+            (0.0, 1.0, 10, None),
+            (2.0, 1.5, 10, None),  # end before start: measurement fault
+            (3.0, 3.0, 10, None),  # zero elapsed: also invalid
+        ]
+        events = []
+        assert flush_epoch(pending, events.append, time=3.0) == 1
+        # Only the valid tuple is emitted.
+        assert [(e.event, e.data["t0"], e.data["t1"]) for e in events] == [("rate", 0.0, 1.0)]
 
     def test_emits_one_rate_line_per_observation(self):
-        buf = EpochBuffer()
-        buf.record(0.0, 0.5, 32, 1.5)
-        buf.record(0.5, 1.0, 32, 1.4)
-        sink = EventSink()
-        flush_epoch(buf, sink, units="images", time=2.0)
-        rates = [e for e in sink.events if e.event == "rate"]
-        losses = [e for e in sink.events if e.event == "loss"]
+        pending = [(0.0, 0.5, 32, 1.5), (0.5, 1.0, 32, 1.4)]
+        events = []
+        flush_epoch(pending, events.append, units="images", time=2.0)
+        rates = [e for e in events if e.event == "rate"]
+        losses = [e for e in events if e.event == "loss"]
         assert len(rates) == 2
         assert len(losses) == 2
         assert rates[0].data["warmup"] is True
         assert "warmup" not in rates[1].data
-        assert all(e.time == 2.0 for e in sink.events)
+        assert all(e.time == 2.0 for e in events)
 
 
 class TestDeferredEmission:
@@ -168,7 +178,7 @@ class TestDeterminism:
         # Oracle: replay the generator's sampled delays independently.
         spec = WorkloadSpec(kind="jitter", batch_size=32, base_rate=64.0, jitter_frac=0.1)
         behavior = SyntheticWorkload(spec, seed=123)
-        log = timed_iterate(behavior, TimerConfig(obs_min=30, obs_max=60))
+        log, _ = run_workload(behavior, TimerConfig(obs_min=30, obs_max=60))
 
         replay = SyntheticWorkload(spec, seed=123)
         sampled = []
@@ -393,6 +403,20 @@ def test_stream_bytes_are_pinned(argv, code, digest, monkeypatch, capsys):
         monkeypatch.delenv(variable, raising=False)
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(a, c) for a, c, _ in STREAM_PINS], ids=[" ".join(a) or "defaults" for a, _, _ in STREAM_PINS]
+)
+def test_exit_code_agrees_with_the_harness_fold(argv, code, monkeypatch, capsys):
+    for variable in ("BENCHFORGE_OBS_MIN", "BENCHFORGE_OBS_MAX", "BENCHFORGE_METRICS_FD"):
+        monkeypatch.delenv(variable, raising=False)
+    assert main(argv) == code
+    log_fold = LogFold("worker")
+    log_fold.feed(capsys.readouterr().out.encode())
+    log = log_fold.finish()
+    assert (log.terminal == "success") == (code == 0)
+    assert (log.message == "insufficient observations") == (code == 2)
 
 
 def test_main_freezes_the_heap_before_parsing_arguments(monkeypatch, capsys):
