@@ -18,6 +18,10 @@ bytecode is read as usual. With ``PYTHONDONTWRITEBYTECODE`` set, every
 process of a run compiles the tree's modules from source; unset, a run's
 first process writes their bytecode into the copy.
 
+Each run starts in its own session. SIGTERM stops the script as Ctrl-C
+does: the running run's process group is killed and reaped, and its copy
+of the tree is removed.
+
 The output holds, per workload and end-to-end metric, each side's runs,
 median and quartiles, how many pairs the head won, whether the head's median
 beats the base's by more than the base's quartile distance, and the relative
@@ -34,6 +38,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -63,10 +68,22 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: float, trace: int)
     with tempfile.TemporaryDirectory(prefix="tree-") as tmp:
         copy = Path(tmp) / "tree"
         shutil.copytree(tree, copy, ignore=TREE_COPY_IGNORE)
-        done = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
-    lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
-        raise SystemExit(f"{tree}: {' '.join(argv[1:])} exited {done.returncode}\n{done.stderr}")
+        proc = subprocess.Popen(
+            argv, cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            stdout, stderr = proc.communicate()
+        except BaseException:  # SIGTERM's SystemExit, or Ctrl-C: end the run before its copy is removed
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:  # the group is already gone
+                pass
+            proc.wait()
+            raise
+    lines = stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{tree}: {' '.join(argv[1:])} exited {proc.returncode}\n{stderr}")
     result = json.loads(lines[-1])
     result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
     return result
@@ -136,6 +153,11 @@ def layers_moved(per_layer: dict[str, dict], layers: list[str]) -> dict:
     return moved
 
 
+def _stop(signum: int, frame) -> None:
+    """SIGTERM as an exception, so every run's process group is killed and its copy removed."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, type=Path, help="source tree of the parent")
@@ -160,6 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     unknown = sorted(set(layers) - {m["name"] for m in contract["per_layer"]})
     if unknown:
         parser.error(f"--layers: not a per_layer metric of the head's BENCHMARK.json: {', '.join(unknown)}")
+    signal.signal(signal.SIGTERM, _stop)
     doc = {
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {seconds:g} --trace 0|1",

@@ -6,17 +6,14 @@ __version__ = "0.1.0"
 
 # Submodules load on first attribute access (PEP 562), so `-m benchforge.worker` loads only protocol.
 _EXPORTS = {
-    "aggregate": (
-        "BenchResult", "RatioRow", "SuiteScore", "fold_bench", "fold_outcomes",
-        "fold_process", "ratio_to_baseline", "suite_score",
-    ),
+    "aggregate": ("BenchResult", "SuiteScore", "fold_bench", "fold_outcomes", "fold_process", "suite_score"),
     "design": (
         "ClassMetrics", "CoverageReport", "MLCMatrix", "coverage_proportions",
         "mlcm_build", "mlcm_metrics",
     ),
-    "executor": ("DevicePool", "ProcessOutcome", "ProcessPlan", "RunRecord", "plan_launches", "supervise"),
+    "executor": ("DevicePool", "ProcessOutcome", "ProcessPlan", "RunRecord", "plan_launches", "supervise_all"),
     "protocol": (
-        "MetricEvent", "Observation", "ObservationLog", "Rejection", "StreamDecoder",
+        "MetricEvent", "ObservationLog", "Rejection", "StreamDecoder",
         "decode_event", "encode_event", "read_stream",
     ),
     "report": ("ReportDocument", "render_csv", "render_json", "render_report", "render_text"),

@@ -56,13 +56,6 @@ class SuiteScore(NamedTuple):
     total_weight: float
 
 
-class RatioRow(NamedTuple):
-    bench: str
-    baseline_perf: float | None
-    candidate_perf: float | None
-    ratio: float | None
-
-
 def fold_process(log: ObservationLog, drop_warmup: bool = True) -> float | None:
     """Collapse one process's observations into a single rate.
 
@@ -144,25 +137,3 @@ def suite_score(results: list[BenchResult]) -> SuiteScore:
     score = math.exp(math.fsum(contributions.values()) / total_weight)
     return SuiteScore(score=score, contributions=contributions, total_weight=total_weight)
 
-
-def ratio_to_baseline(candidate: BenchResult, baseline: BenchResult) -> RatioRow:
-    """Candidate performance over baseline performance for one benchmark.
-
-    The ratio is absent when the baseline is missing or zero, or when the
-    candidate failed outright.
-    """
-    if candidate.bench != baseline.bench:
-        raise AggregateError(
-            f"benchmark name mismatch: {candidate.bench!r} vs {baseline.bench!r}"
-        )
-    base_perf = baseline.perf if baseline.success_rate > 0 else None
-    cand_perf = candidate.perf if candidate.success_rate > 0 else None
-    ratio = None
-    if base_perf and cand_perf is not None:
-        ratio = cand_perf / base_perf
-    return RatioRow(
-        bench=candidate.bench,
-        baseline_perf=base_perf,
-        candidate_perf=cand_perf,
-        ratio=ratio,
-    )

@@ -4,9 +4,9 @@ Benchmarks execute sequentially in suite order so results stay
 uncontaminated; the processes of one benchmark run concurrently across
 the declared device pool. Every child gets a dedicated metric channel
 (a pipe named via BENCHFORGE_METRICS_FD); stderr passes through
-untouched. One select loop per benchmark, in the calling thread, reads
-every child's pipe and watches each child's exit and timeout, then kills
-that child's whole process group; ``supervise`` is its one-child case.
+untouched. One select loop per benchmark, ``supervise_all``, in the
+calling thread, reads every child's pipe and watches each child's exit and
+timeout, then kills that child's whole process group.
 
 Run layout: ``<base>/runs/<stamp>/<bench>/<rank>.jsonl`` plus
 ``meta.json``, ``suite.yaml``, per-benchmark ``outcomes.json`` and, next
@@ -84,9 +84,7 @@ class DevicePool:
 class ProcessPlan(NamedTuple):
     """One resolved child-process launch, on one device."""
 
-    bench: str
     rank: int
-    world_size: int
     device: str
     env: dict[str, str]
     command: tuple[str, ...]
@@ -107,7 +105,9 @@ class ProcessOutcome(NamedTuple):
     cpu_s: float | None
     maxrss_kb: int | None
     classified: str  # one of CLASSES
-    log: ObservationLog
+    # The verdict's reason: the fold's error, "insufficient observations", "gang member failed" or the spawn's.
+    message: str
+    log: ObservationLog  # the fold of the child's stream, which no verdict edits
 
 
 CLASSES = ("success", "error", "timeout")
@@ -171,9 +171,7 @@ def plan_launches(
             env["BENCHFORGE_RENDEZVOUS"] = str(base_dir / "rendezvous" / spec.name)
         plans.append(
             ProcessPlan(
-                bench=spec.name,
                 rank=rank,
-                world_size=world_size,
                 device=device,
                 env=env,
                 command=resolve_command(spec.run_cmd, base_dir, bench_dir, device, 1, rank, world_size),
@@ -201,8 +199,8 @@ class LogFold:
     Every other kind is dropped.
     """
 
-    def __init__(self, process_id: str) -> None:
-        self.log = ObservationLog(process_id=process_id)
+    def __init__(self) -> None:
+        self.log = ObservationLog()
         self._terminal: str | None = None
         self._decoder = StreamDecoder()
 
@@ -275,7 +273,7 @@ def fold_sidecar(log: ObservationLog, sha256: str, size: int) -> bytes:
     return json.dumps(header).encode("ascii") + b"\n" + body
 
 
-def log_from_sidecar(data: bytes, sha256: str, size: int, process_id: str) -> ObservationLog | None:
+def log_from_sidecar(data: bytes, sha256: str, size: int) -> ObservationLog | None:
     """The log ``fold_sidecar`` stored, or None unless it is the fold of this stream.
 
     It is returned only when the format, the byte order, the stream length
@@ -294,7 +292,7 @@ def log_from_sidecar(data: bytes, sha256: str, size: int, process_id: str) -> Ob
             return None
         if header["columns_sha256"] != hashlib.sha256(body).hexdigest():
             return None
-        log = ObservationLog(process_id, header["terminal"], header["faults"], header["message"])
+        log = ObservationLog(header["terminal"], header["faults"], header["message"])
         log.rejected, log.rejection_reasons = header["rejected"], header["rejection_reasons"]
         log.tasks = {task: i for i, task in enumerate(tasks)}
         log.work.frombytes(body[: 8 * n])
@@ -337,7 +335,7 @@ class _Child:
         import subprocess
 
         self.plan, self.stream = plan, out_dir / f"{plan.rank}.jsonl"
-        self.fold = LogFold(f"{plan.bench}/{plan.rank}")
+        self.fold = LogFold()
         self.digest = hashlib.sha256()
         self.exit_code = self.log = self.cpu_s = self.maxrss_kb = None
         # eof: the pipe hit EOF; exited: the pidfd fired, so the child ended before its deadline.
@@ -351,8 +349,8 @@ class _Child:
         except OSError as exc:
             os.close(self.read_fd)
             self.capture.close()
-            self.log = ObservationLog(process_id=self.fold.log.process_id, message=str(exc))
-            self.exit_code, self.classified = -1, "error"
+            self.log = self.fold.finish()
+            self.exit_code, self.classified, self.message = -1, "error", str(exc)
             return
         finally:
             os.close(write_fd)
@@ -384,18 +382,17 @@ class _Child:
         if not self.eof:
             sel.unregister(self.read_fd)
         log = self.fold.finish()
-        # Written before the verdict below edits the terminal or the message.
         sidecar = fold_sidecar(log, self.digest.hexdigest(), self.capture.tell())
         self.stream.with_suffix(".fold").write_bytes(sidecar)
+        self.message = log.message
         if not self.exited:
-            log.terminal = "timeout"
             self.classified = "timeout"
         elif self.exit_code == 0 and log.terminal == "success" and len(log.work) >= self.plan.obs_min:
             self.classified = "success"
         else:
             self.classified = "error"
             if self.exit_code == 0 and len(log.work) < self.plan.obs_min:
-                log.message = log.message or "insufficient observations"
+                self.message = log.message or "insufficient observations"
         self.close()
         self.log = log
 
@@ -405,7 +402,7 @@ class _Child:
         self.capture.close()
 
 
-def _supervise_all(plans: list[ProcessPlan], out_dir: Path | str) -> list[ProcessOutcome]:
+def supervise_all(plans: list[ProcessPlan], out_dir: Path | str) -> list[ProcessOutcome]:
     """Launch the planned children and follow them all to outcomes, in plan order.
 
     One select loop in the calling thread reads every child's metric pipe
@@ -413,8 +410,9 @@ def _supervise_all(plans: list[ProcessPlan], out_dir: Path | str) -> list[Proces
     arrives) and watches a pidfd of each child until it exits or its
     timeout_s passes. Then it kills that child's whole process group, reaps
     the child, and drains its pipe for at most DRAIN_S seconds; an
-    exception kills and reaps every child still running. Each fold, as the
-    stream gave it, goes to ``out_dir/<rank>.fold``. Classification:
+    exception kills and reaps every child still running. Each fold goes to
+    ``out_dir/<rank>.fold`` and into its outcome as the stream gave it; the
+    verdict is the outcome's ``classified`` and ``message``. Classification:
     success iff the child exited 0, its log ended in success, and it
     gathered at least obs_min observations; a child still running at
     timeout_s is a timeout. A gang succeeds or fails as one unit, so a
@@ -452,19 +450,14 @@ def _supervise_all(plans: list[ProcessPlan], out_dir: Path | str) -> list[Proces
     failed = {child.plan.gang_id for child in children if child.classified != "success"} - {None}
     for child in children:
         if child.plan.gang_id in failed and child.classified == "success":
-            child.classified, child.log.message = "error", "gang member failed"
+            child.classified, child.message = "error", "gang member failed"
     return [
         ProcessOutcome(
             c.plan.rank, [c.plan.device], c.plan.gang_id, c.exit_code, c.duration, c.cpu_s, c.maxrss_kb,
-            c.classified, c.log,
+            c.classified, c.message, c.log,
         )
         for c in children
     ]
-
-
-def supervise(plan: ProcessPlan, out_dir: Path | str) -> ProcessOutcome:
-    """Launch one planned child and follow it to an outcome, as ``_supervise_all`` does."""
-    return _supervise_all([plan], out_dir)[0]
 
 
 # Setup phases in order: the directory under base_dir, the stamp file, and the
@@ -621,7 +614,7 @@ def _run_bench(
         error = str(exc)
         bench_out.mkdir(parents=True, exist_ok=True)
     else:
-        outcomes = _supervise_all(plans, bench_out)
+        outcomes = supervise_all(plans, bench_out)
     record = RunRecord(bench.name, outcomes, {"run": time.monotonic() - started}, error)
     _write_outcomes(bench_out, record)
     return record
@@ -630,7 +623,7 @@ def _run_bench(
 def _write_outcomes(bench_out: Path, record: RunRecord) -> None:
     rows = [
         dict(
-            zip(_ROW_FIELDS, o), observations=len(o.log.work), message=o.log.message, rejected=o.log.rejected,
+            zip(_ROW_FIELDS, o), observations=len(o.log.work), rejected=o.log.rejected,
             rejection_reasons=o.log.rejection_reasons, faults=o.log.faults,
         )
         for o in record.outcomes
@@ -709,7 +702,7 @@ def load_run(run_dir: Path | str) -> LoadedRun:
                 raise ExecutorError(f"{outcomes_path}: row {i} is not an object with rank {i}")
             if row.get("classified") not in CLASSES:
                 raise ExecutorError(f"{outcomes_path}: row {i} is not classified as one of {', '.join(CLASSES)}")
-            log = _load_log(bench_dir / f"{i}.jsonl", f"{bench.name}/{i}")
+            log = _load_log(bench_dir / f"{i}.jsonl")
             outcomes.append(ProcessOutcome(*map(row.get, _ROW_FIELDS), log))
         # report reads no phase timing, so none is loaded.
         records[bench.name] = RunRecord(bench.name, outcomes, {}, payload.get("error"))
@@ -727,9 +720,9 @@ def _json_object(path: Path) -> dict:
     return value
 
 
-def _load_log(stream: Path, process_id: str) -> ObservationLog:
+def _load_log(stream: Path) -> ObservationLog:
     """One process's log: its trusted sidecar, else the fold of its stream."""
-    fold = LogFold(process_id)
+    fold = LogFold()
     if stream.exists():
         with open(stream, "rb") as f:
             try:
@@ -741,7 +734,7 @@ def _load_log(stream: Path, process_id: str) -> ObservationLog:
                 while chunk := f.read(CHUNK_BYTES):
                     digest.update(chunk)
                     size += len(chunk)
-                log = log_from_sidecar(sidecar, digest.hexdigest(), size, process_id)
+                log = log_from_sidecar(sidecar, digest.hexdigest(), size)
                 if log is not None:
                     return log
                 f.seek(0)

@@ -75,34 +75,6 @@ class Rejection(NamedTuple):
 StreamItem = Union[MetricEvent, Rejection]
 
 
-class _ObservationFields(NamedTuple):
-    work: float
-    elapsed: float
-    warmup: bool
-    task: str
-
-
-class Observation(_ObservationFields):
-    """One unit-of-work timing.
-
-    ``rate`` is always derived as ``work / elapsed``; it is never stored
-    independently of the stamps it came from.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, work: float, elapsed: float, warmup: bool = False, task: str = "train"):
-        if work <= 0:
-            raise ValueError(f"work must be positive, got {work}")
-        if elapsed <= 0:
-            raise ValueError(f"elapsed must be positive, got {elapsed}")
-        return super().__new__(cls, work, elapsed, warmup, task)
-
-    @property
-    def rate(self) -> float:
-        return self.work / self.elapsed
-
-
 class ObservationLog:
     """Folded outcome of one worker process.
 
@@ -113,12 +85,10 @@ class ObservationLog:
 
     def __init__(
         self,
-        process_id: str,
-        terminal: str = "error",  # one of {success, error, timeout}
+        terminal: str = "error",  # the first terminal event's kind; error when the stream has none
         faults: int = 0,  # timings dropped: end not after start, or a span or rate out of range
         message: str = "",
     ) -> None:
-        self.process_id = process_id
         self.work = array("d")
         self.elapsed = array("d")
         self.warmup = bytearray()
@@ -132,20 +102,13 @@ class ObservationLog:
         self.rejection_reasons: list[str] = []
 
     def add(self, work: float, elapsed: float, warmup: bool = False, task: str = "train") -> None:
-        """Append one observation; like ``Observation``, it refuses a work or elapsed not > 0."""
+        """Append one observation of ``work`` units in ``elapsed`` seconds; it refuses either not > 0."""
         if not (work > 0 and elapsed > 0):
             raise ValueError(f"work and elapsed must be positive, got {work}, {elapsed}")
         self.work.append(work)
         self.elapsed.append(elapsed)
         self.warmup.append(1 if warmup else 0)
         self.task_index.append(self.tasks.setdefault(task, len(self.tasks)))
-
-    @property
-    def observations(self) -> tuple[Observation, ...]:
-        """The observations as ``Observation`` values, built anew on each access."""
-        names = list(self.tasks)
-        rows = zip(self.work, self.elapsed, map(bool, self.warmup), map(names.__getitem__, self.task_index))
-        return tuple(Observation(*row) for row in rows)
 
     def rates(self) -> list[float]:
         return list(map(truediv, self.work, self.elapsed))

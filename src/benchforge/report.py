@@ -13,7 +13,7 @@ import io
 import json
 from typing import NamedTuple
 
-from .aggregate import BenchResult, ratio_to_baseline, suite_score
+from .aggregate import BenchResult, suite_score
 
 
 class ReportError(ValueError):
@@ -57,7 +57,9 @@ def render_report(
 
     All systems must cover the same benchmarks in the same order (they
     come from the same suite). The baseline system, when named, moves to
-    the first column and every other system gets a ratio against it.
+    the first column and every other system gets a ratio against it: its
+    perf over the baseline's, absent when either failed or the baseline's
+    perf is 0.
     """
     if not results:
         raise ReportError("no results to report")
@@ -81,14 +83,12 @@ def render_report(
         cells: dict[str, Cell] = {}
         for system in systems:
             result = by_system[system][bench_ref.bench]
+            perf = result.perf if result.success_rate > 0 else None
             ratio = None
-            if baseline is not None and system != baseline:
-                ratio = ratio_to_baseline(result, by_system[baseline][bench_ref.bench]).ratio
-            cells[system] = Cell(
-                perf=result.perf if result.success_rate > 0 else None,
-                success_rate=result.success_rate,
-                ratio=ratio,
-            )
+            # The baseline's cell comes first, so it is in ``cells`` by now.
+            if baseline is not None and system != baseline and cells[baseline].perf and perf is not None:
+                ratio = perf / cells[baseline].perf
+            cells[system] = Cell(perf=perf, success_rate=result.success_rate, ratio=ratio)
         rows.append(ReportRow(bench=bench_ref.bench, weight=bench_ref.weight, cells=cells))
 
     scores = {system: suite_score(results[system]) for system in systems}

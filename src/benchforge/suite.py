@@ -181,7 +181,7 @@ def validate_suite(cfg: SuiteConfig) -> list[str]:
     """
     violations: list[str] = []
     if not _fits(cfg.suite_name, str) or not cfg.suite_name.strip():
-        violations.append(f"suite: suite_name must be non-empty text, got {cfg.suite_name!r}")
+        violations.append(f"suite: suite_name must be non-empty text, got {_shown(cfg.suite_name)}")
     if not cfg.benchmarks:
         violations.append("suite: at least one benchmark required")
     mistyped = _mistyped(cfg.defaults)
@@ -205,14 +205,14 @@ def validate_suite(cfg: SuiteConfig) -> list[str]:
 
 def benchmark_violations(bench: BenchmarkSpec) -> list[str]:
     """``validate_suite``'s rules for one entry; the value rules run only on a well-typed one."""
-    where = f"benchmark {bench.name!r}"
+    where = f"benchmark {_shown(bench.name)}"
     mistyped = _mistyped(bench)
     if not (isinstance(bench.env, dict) and all(_fits(s, str) for pair in bench.env.items() for s in pair)):
-        mistyped.append(f"env must be a mapping of text to text, got {bench.env!r}")
+        mistyped.append(f"env must be a mapping of text to text, got {_shown(bench.env)}")
     if isinstance(bench.tags, TaxonomyTags):
         mistyped.extend(f"tags.{m}" for m in _mistyped(bench.tags))
     elif bench.tags is not None:
-        mistyped.append(f"tags must be None or TaxonomyTags, got {bench.tags!r}")
+        mistyped.append(f"tags must be None or TaxonomyTags, got {_shown(bench.tags)}")
     if mistyped:
         return [f"{where}: {m}" for m in mistyped]
     violations: list[str] = []
@@ -263,10 +263,18 @@ def _mistyped(entry: Any) -> list[str]:
         if kind not in _NOUNS:
             continue
         if not _fits(value, kind):
-            found.append(f"{field} must be {_NOUNS[kind]}, got {value!r}")
+            found.append(f"{field} must be {_NOUNS[kind]}, got {_shown(value)}")
         elif kind is float and not _finite(value):
-            found.append(f"{field} must be finite, got {value}")
+            found.append(f"{field} must be finite, got {_shown(value)}")
     return found
+
+
+def _shown(value: Any) -> str:
+    """``repr(value)``, or a short stand-in when it holds an int with more digits than ``repr`` may print."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"<{type(value).__name__} too long to show>"
 
 
 def _finite(value: float) -> bool:
@@ -283,10 +291,10 @@ def _entry_violations(where: str, entry: BenchmarkDefaults | BenchmarkSpec) -> l
     """The value rules the suite defaults share with each benchmark: observation budget and timeout."""
     violations: list[str] = []
     if entry.obs_min <= 0:
-        violations.append(f"{where}: obs_min must be positive, got {entry.obs_min}")
+        violations.append(f"{where}: obs_min must be positive, got {_shown(entry.obs_min)}")
     if entry.obs_min > entry.obs_max:
         violations.append(
-            f"{where}: obs_min <= obs_max required, got {entry.obs_min} > {entry.obs_max}"
+            f"{where}: obs_min <= obs_max required, got {_shown(entry.obs_min)} > {_shown(entry.obs_max)}"
         )
     if entry.timeout_s <= 0:
         violations.append(f"{where}: timeout_s must be positive, got {entry.timeout_s}")
@@ -299,9 +307,9 @@ def _validate_targets(targets: CoverageTargets) -> list[str]:
     for dim, columns in sorted(targets.dimensions.items()):
         for col, prop in sorted(columns.items()):
             if not _fits(prop, float):
-                violations.append(f"targets.{dim}.{col}: proportion must be a number, got {prop!r}")
+                violations.append(f"targets.{dim}.{col}: proportion must be a number, got {_shown(prop)}")
             elif not 0.0 <= prop <= 1.0:
-                violations.append(f"targets.{dim}.{col}: proportion must be in [0,1], got {prop}")
+                violations.append(f"targets.{dim}.{col}: proportion must be in [0,1], got {_shown(prop)}")
         # Summed only when every proportion is in range, so no sum overflows or meets inf - inf.
         if dim == "model_sizes" and columns and all(_fits(p, float) and 0 <= p <= 1 for p in columns.values()):
             total = math.fsum(columns.values())  # exactly rounded, so independent of column order

@@ -309,23 +309,7 @@ def _spec_payload(spec: WorkloadSpec, cfg: TimerConfig, seed: int) -> dict:
     }
 
 
-def _open_metric_channel():
-    """Resolve the metric channel from BENCHFORGE_METRICS_FD.
-
-    The variable may name an inherited file descriptor (integer) or a
-    filesystem path; when unset, lines go to stdout.
-    """
-    target = os.environ.get("BENCHFORGE_METRICS_FD")
-    if not target:
-        return sys.stdout
-    try:
-        fd = int(target)
-    except ValueError:
-        return open(target, "w", encoding="utf-8")
-    return os.fdopen(fd, "w", encoding="utf-8")
-
-
-def _env_default(flag: int | None, variable: str, default: int) -> int:
+def _env_default(flag: int | None, variable: str, default: int | None) -> int | None:
     """An explicit flag, else the integer the harness exported in ``variable``, else ``default``."""
     if flag is not None:
         return flag
@@ -384,11 +368,13 @@ def main(argv: list[str] | None = None) -> int:
             epochs_max=args.epochs_max,
         )
         _check_virtual_time(spec, cfg)
+        # The metric channel: an inherited file descriptor, else stdout.
+        metrics_fd = _env_default(None, "BENCHFORGE_METRICS_FD", None)
     except ValueError as exc:
         print(f"benchforge-worker: {exc}", file=sys.stderr)
         return 2
 
-    channel = _open_metric_channel()
+    channel = sys.stdout if metrics_fd is None else os.fdopen(metrics_fd, "w", encoding="utf-8")
 
     def emit(event: MetricEvent) -> None:
         # Flushed per line: the harness folds the stream live, and a killed worker loses no line it emitted.

@@ -1,6 +1,7 @@
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -9,6 +10,26 @@ DATA_DIR = TESTS_DIR / "data"
 REPO_DIR = TESTS_DIR.parent
 
 WORKER_CMD = f"{sys.executable} -m benchforge.worker"
+
+
+class Obs(NamedTuple):
+    """One observation of an ObservationLog, as the tests compare them."""
+
+    work: float
+    elapsed: float
+    warmup: bool = False
+    task: str = "train"
+
+    @property
+    def rate(self) -> float:
+        return self.work / self.elapsed
+
+
+def observed(log) -> tuple[Obs, ...]:
+    """A log's four columns, read back as one Obs per observation."""
+    names = list(log.tasks)
+    rows = zip(log.work, log.elapsed, log.warmup, log.task_index)
+    return tuple(Obs(work, elapsed, bool(warmup), names[i]) for work, elapsed, warmup, i in rows)
 
 
 @pytest.fixture(scope="session")

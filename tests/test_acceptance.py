@@ -20,7 +20,7 @@ from benchforge.design import MLCMatrix, mlcm_metrics
 from benchforge.protocol import MetricEvent, decode_event, encode_event, read_stream
 from benchforge.worker import SyntheticWorkload, TimerConfig, WorkloadSpec, timed_iterate
 
-from conftest import WORKER_CMD, printed_ulp, printed_value
+from conftest import WORKER_CMD, observed, printed_ulp, printed_value
 from test_design import (
     MODEL_TYPE_CLASSES,
     MODEL_TYPE_COUNTS,
@@ -180,8 +180,8 @@ def test_measurement_budget_property():
             timed_iterate(spec, cfg, events.append, seed=seed)
             log = fold(events)
             if log.terminal == "success":
-                for worker in {o.task for o in log.observations}:
-                    count = sum(1 for o in log.observations if o.task == worker)
+                for worker in {o.task for o in observed(log)}:
+                    count = sum(1 for o in observed(log) if o.task == worker)
                     assert cfg.obs_min <= count <= cfg.obs_max, (case, worker, count)
         else:
             behavior = SyntheticWorkload(spec, seed)
@@ -190,7 +190,7 @@ def test_measurement_budget_property():
             # The (obs_max + 1)-th batch never starts.
             assert behavior.batches_started <= cfg.obs_max, case
             if log.terminal == "success":
-                assert cfg.obs_min <= len(log.observations) <= cfg.obs_max, case
+                assert cfg.obs_min <= len(log.work) <= cfg.obs_max, case
         assert_deferred_emission(events)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"budget property took {elapsed:.1f}s"

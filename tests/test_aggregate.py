@@ -14,14 +14,13 @@ from benchforge.aggregate import (
     BenchResult,
     fold_outcomes,
     fold_process,
-    ratio_to_baseline,
     suite_score,
 )
 from benchforge.protocol import ObservationLog
 
 
 def log_with_rates(rates, warmup_first=False):
-    log = ObservationLog(process_id="p", terminal="success")
+    log = ObservationLog(terminal="success")
     for i, rate in enumerate(rates):
         log.add(work=rate, elapsed=1.0, warmup=warmup_first and i == 0)
     return log
@@ -83,7 +82,7 @@ class TestFoldProcess:
         assert fold_process(log) == 42
 
     def test_empty_log_contributes_no_rate(self):
-        assert fold_process(ObservationLog(process_id="p")) is None
+        assert fold_process(ObservationLog()) is None
 
 
 class TestFoldBench:
@@ -256,41 +255,3 @@ class TestScoreProperties:
             want = naive_score(results)
             assert abs(got - want) / want <= 1e-9
 
-
-class TestRatio:
-    def test_reformer_ratio(self):
-        row = ratio_to_baseline(
-            BenchResult("reformer", 1.0, 103.7, 1.0), BenchResult("reformer", 1.0, 62.3, 1.0)
-        )
-        assert row.ratio == pytest.approx(1.66, abs=0.005)
-
-    def test_identity(self):
-        row = ratio_to_baseline(
-            BenchResult("x", 1.0, 123.4, 1.0), BenchResult("x", 1.0, 123.4, 1.0)
-        )
-        assert row.ratio == pytest.approx(1.0, rel=1e-12)
-
-    def test_coarse_inputs(self):
-        row = ratio_to_baseline(
-            BenchResult("fp32", 0.0, 111.0, 1.0), BenchResult("fp32", 0.0, 19.0, 1.0)
-        )
-        assert round(row.ratio, 2) == pytest.approx(5.84)
-
-    def test_missing_baseline_leaves_ratio_absent(self):
-        row = ratio_to_baseline(
-            BenchResult("x", 1.0, 10.0, 1.0), BenchResult("x", 1.0, 0.0, 0.0)
-        )
-        assert row.ratio is None
-        assert row.baseline_perf is None
-
-    def test_failed_candidate_leaves_ratio_absent(self):
-        row = ratio_to_baseline(
-            BenchResult("x", 1.0, 0.0, 0.0), BenchResult("x", 1.0, 10.0, 1.0)
-        )
-        assert row.ratio is None
-
-    def test_name_mismatch_is_an_error(self):
-        with pytest.raises(AggregateError, match="mismatch"):
-            ratio_to_baseline(
-                BenchResult("a", 1.0, 1.0, 1.0), BenchResult("b", 1.0, 1.0, 1.0)
-            )

@@ -2,8 +2,14 @@
 
 import importlib.util
 import json
+import os
+import shutil
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -62,9 +68,9 @@ def test_each_run_gets_a_fresh_empty_bytecode_cache(tmp_path, monkeypatch):
         assert "PYTHONPYCACHEPREFIX" not in env
         (cwd / "src" / "pkg" / "__pycache__").mkdir()  # what a run writes stays in its copy
         line = json.dumps({"metrics": {"op_s": {"value": 1.0}}})
-        return subprocess.CompletedProcess(argv, 0, line + "\n", "")
+        return SimpleNamespace(returncode=0, communicate=lambda: (line + "\n", ""))
 
-    monkeypatch.setattr(compare.subprocess, "run", spy)
+    monkeypatch.setattr(compare.subprocess, "Popen", spy)
     trees = [_tree_with_bytecode(tmp_path / side) for side in ("base", "head")]
     for tree in (*trees, trees[0]):
         assert compare.bench_once(tree, "long-streams", 11, 1.0, 0)["metrics"] == {"op_s": 1.0}
@@ -73,3 +79,56 @@ def test_each_run_gets_a_fresh_empty_bytecode_cache(tmp_path, monkeypatch):
     assert all(entries == ["src", "src/pkg", "src/pkg/__init__.py"] for _, entries in seen)
     assert not any(cwd.exists() or tmp_path in cwd.parents for cwd in copies)
     assert all((tree / "src" / "pkg" / "__pycache__" / "__init__.cpython.pyc").exists() for tree in trees)
+
+
+def _alive_in_group(pgid: int) -> list[int]:
+    """Pids of the processes in group ``pgid`` that are not zombies, from /proc."""
+    alive = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, pgrp = stat.read_text().rpartition(")")[2].split()[:3]
+        except OSError:  # the process ended while it was read
+            continue
+        if int(pgrp) == pgid and state != "Z":
+            alive.append(int(stat.parent.name))
+    return alive
+
+
+def test_sigterm_ends_the_run_and_removes_its_copy(tmp_path):
+    # The fake run starts a sleep in its own process group, as run.py starts the CLI, and blocks.
+    tree, temp, pgid_file = tmp_path / "tree", tmp_path / "temp", tmp_path / "pgid"
+    (tree / "perfbench").mkdir(parents=True)
+    temp.mkdir()
+    shutil.copy(REPO_DIR / "BENCHMARK.json", tree)
+    (tree / "perfbench" / "run.py").write_text(
+        "import os, subprocess, time\n"
+        "subprocess.Popen(['sleep', '60'])\n"
+        f"with open({str(pgid_file) + '.part'!r}, 'w') as out:\n"
+        "    out.write(str(os.getpgrp()))\n"
+        f"os.replace({str(pgid_file) + '.part'!r}, {str(pgid_file)!r})\n"
+        "time.sleep(60)\n"
+    )
+    argv = [sys.executable, str(REPO_DIR / "benchmarks" / "compare.py"), "--base", str(tree), "--head", str(tree),
+            "--workload", "long-streams", "--out", str(tmp_path / "bench.json")]
+    proc = subprocess.Popen(argv, env={**os.environ, "TMPDIR": str(temp)}, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while not pgid_file.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        pgid = int(pgid_file.read_text())
+        assert pgid != os.getpgrp() and len(_alive_in_group(pgid)) == 2
+        assert [p.name[:5] for p in temp.iterdir()] == ["tree-"]
+        proc.send_signal(signal.SIGTERM)
+        deadline = time.monotonic() + 2.0
+        while _alive_in_group(pgid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _alive_in_group(pgid) == []
+        assert proc.wait(timeout=max(deadline - time.monotonic(), 0.1)) == 128 + signal.SIGTERM
+        assert list(temp.iterdir()) == []
+    finally:
+        proc.kill()
+        proc.wait()
+        if pgid_file.exists() and int(pgid_file.read_text()) != os.getpgrp():  # a failed check leaves none behind
+            for pid in _alive_in_group(int(pgid_file.read_text())):
+                os.kill(pid, signal.SIGKILL)

@@ -32,12 +32,11 @@ from benchforge.executor import (
     plan_launches,
     prepare,
     run,
-    supervise,
+    supervise_all,
 )
 from benchforge.aggregate import fold_process
 from benchforge.protocol import (
     MetricEvent,
-    Observation,
     ObservationLog,
     Rejection,
     decode_event,
@@ -46,7 +45,7 @@ from benchforge.protocol import (
 )
 from benchforge.suite import BenchmarkSpec, SuiteConfig, SuiteError, parse_suite
 
-from conftest import DATA_DIR, WORKER_CMD
+from conftest import DATA_DIR, WORKER_CMD, Obs, observed
 from test_protocol import chop
 
 POOL4 = DevicePool(devices=("d0", "d1", "d2", "d3"))
@@ -89,7 +88,7 @@ class TestPlanLaunches:
         pool = DevicePool(devices=tuple(f"d{i}" for i in range(8)))
         plans = plan_launches(worker_bench(), pool)
         assert len(plans) == 8
-        assert all(p.world_size == 8 for p in plans)
+        assert all(p.env["BENCHFORGE_WORLD_SIZE"] == "8" for p in plans)
         assert all(p.gang_id is None for p in plans)
         assert sorted(p.device for p in plans) == sorted(pool.devices)
         assert len({p.device for p in plans}) == 8  # device exclusivity
@@ -99,13 +98,13 @@ class TestPlanLaunches:
         assert len(plans) == 4
         assert {p.gang_id for p in plans} == {"w:node0"}
         assert [p.rank for p in plans] == [0, 1, 2, 3]
-        assert all(p.world_size == 4 for p in plans)
+        assert all(p.env["BENCHFORGE_WORLD_SIZE"] == "4" for p in plans)
         assert all(p.env["BENCHFORGE_NODE"] == "0" for p in plans)
 
     def test_multi_node_spans_all_nodes(self):
         plans = plan_launches(worker_bench(scale="multi-node"), POOL8_2N)
         assert len(plans) == 8
-        assert all(p.world_size == 8 for p in plans)
+        assert all(p.env["BENCHFORGE_WORLD_SIZE"] == "8" for p in plans)
         assert {p.env["BENCHFORGE_NODE"] for p in plans} == {"0", "1"}
 
     def test_multi_node_needs_two_nodes(self):
@@ -150,17 +149,17 @@ class TestPlanLaunches:
 class TestSupervise:
     def test_successful_worker(self, tmp_path):
         plan = plan_launches(worker_bench(), DevicePool(devices=("d0",)), tmp_path)[0]
-        outcome = supervise(plan, tmp_path / "out")
+        (outcome,) = supervise_all([plan], tmp_path / "out")
         assert outcome.classified == "success"
         assert outcome.exit_code == 0
-        assert 5 <= len(outcome.log.observations) <= 10
+        assert 5 <= len(outcome.log.work) <= 10
         assert (tmp_path / "out" / "0.jsonl").exists()
 
     def test_timeout_beyond_longest_select_wait(self, tmp_path):
         # 1e7 s is past the longest wait epoll accepts (about 24.8 days).
         bench = worker_bench(timeout_s=1e7)
         plan = plan_launches(bench, DevicePool(devices=("d0",)), tmp_path)[0]
-        assert supervise(plan, tmp_path / "out").classified == "success"
+        assert supervise_all([plan], tmp_path / "out")[0].classified == "success"
 
     def test_insufficient_observations_reclassified(self, tmp_path):
         # Worker succeeds by its own config but gathers fewer observations
@@ -172,18 +171,19 @@ class TestSupervise:
             obs_max=60,
         )
         plan = plan_launches(bench, DevicePool(devices=("d0",)), tmp_path)[0]
-        outcome = supervise(plan, tmp_path / "out")
+        (outcome,) = supervise_all([plan], tmp_path / "out")
         assert outcome.exit_code == 0
         assert outcome.classified == "error"
-        assert "insufficient observations" in outcome.log.message
+        assert outcome.message == "insufficient observations"
+        assert (outcome.log.terminal, outcome.log.message) == ("success", "")
 
     def test_crashing_worker(self, tmp_path):
         bench = worker_bench(name="boom", extra="--kind crashing --crash-after 2")
         plan = plan_launches(bench, DevicePool(devices=("d0",)), tmp_path)[0]
-        outcome = supervise(plan, tmp_path / "out")
+        (outcome,) = supervise_all([plan], tmp_path / "out")
         assert outcome.classified == "error"
         assert outcome.exit_code == 1
-        assert len(outcome.log.observations) == 2
+        assert len(outcome.log.work) == 2
 
     def test_timeout_kills_and_keeps_partial_log(self, tmp_path):
         bench = BenchmarkSpec(
@@ -195,20 +195,22 @@ class TestSupervise:
         )
         plan = plan_launches(bench, DevicePool(devices=("d0",)), tmp_path)[0]
         started = time.monotonic()
-        outcome = supervise(plan, tmp_path / "out")
+        (outcome,) = supervise_all([plan], tmp_path / "out")
         elapsed = time.monotonic() - started
         assert outcome.classified == "timeout"
-        assert outcome.log.terminal == "timeout"
+        # The log is the fold of what came before the kill: no terminal line, so error.
+        assert (outcome.log.terminal, outcome.message) == ("error", "")
         assert elapsed < 10
         # Flushed epochs survive the kill.
-        assert len(outcome.log.observations) >= 2
+        assert len(outcome.log.work) >= 2
 
     def test_spawn_failure(self, tmp_path):
         bench = BenchmarkSpec(name="ghost", run_cmd="/definitely/not/a/binary")
         plan = plan_launches(bench, DevicePool(devices=("d0",)), tmp_path)[0]
-        outcome = supervise(plan, tmp_path / "out")
+        (outcome,) = supervise_all([plan], tmp_path / "out")
         assert outcome.classified == "error"
         assert outcome.exit_code == -1
+        assert "/definitely/not/a/binary" in outcome.message
 
     def test_child_env_carries_identity(self, tmp_path):
         probe = tmp_path / "probe.py"
@@ -219,7 +221,7 @@ class TestSupervise:
         )
         bench = BenchmarkSpec(name="env", run_cmd=f"python3 {probe}")
         plan = plan_launches(bench, DevicePool(devices=("gpuX",)), tmp_path)[0]
-        outcome = supervise(plan, tmp_path / "out")
+        (outcome,) = supervise_all([plan], tmp_path / "out")
         assert outcome.exit_code == 0
 
     def test_lingering_grandchild_is_killed_at_exit(self, tmp_path):
@@ -235,7 +237,7 @@ class TestSupervise:
         )
         plan = plan_launches(bench, DevicePool(devices=("d0",)), tmp_path)[0]
         started = time.monotonic()
-        outcome = supervise(plan, tmp_path / "out")
+        (outcome,) = supervise_all([plan], tmp_path / "out")
         assert time.monotonic() - started < outcome.duration_s + 1.0
         assert outcome.classified == "success"
         # The killed sleep stays a zombie, still in the group, until init
@@ -253,7 +255,7 @@ class TestSupervise:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         plan = plan_launches(worker_bench(), DevicePool(devices=("d0",)), tmp_path)[0]
-        assert supervise(plan, tmp_path / "out").classified == "success"
+        assert supervise_all([plan], tmp_path / "out")[0].classified == "success"
 
     def test_exception_kills_and_reaps_the_child(self, tmp_path, monkeypatch):
         def broken(self, chunk):
@@ -268,7 +270,7 @@ class TestSupervise:
         )
         plan = plan_launches(bench, DevicePool(devices=("d0",)), tmp_path)[0]
         with pytest.raises(RuntimeError, match="fold failed"):
-            supervise(plan, tmp_path / "out")
+            supervise_all([plan], tmp_path / "out")
         # The child was the supervisor's own, so it is reaped, not left a zombie.
         with pytest.raises(ProcessLookupError):
             os.kill(int(pid_file.read_text()), 0)
@@ -283,7 +285,7 @@ class TestSupervise:
         bench = BenchmarkSpec(name="mute", run_cmd=f"python3 {probe}", timeout_s=1.0)
         plan = plan_launches(bench, DevicePool(devices=("d0",)), tmp_path)[0]
         started = time.monotonic()
-        outcome = supervise(plan, tmp_path / "out")
+        (outcome,) = supervise_all([plan], tmp_path / "out")
         assert outcome.classified == "timeout"
         assert time.monotonic() - started < 3.0
 
@@ -447,7 +449,7 @@ class TestRun:
         run_dir, records = run(setup_suite(budget), POOL1, tmp_path, check_setup=False)
         (outcome,) = records[0].outcomes
         assert outcome.classified == "success"
-        assert len(outcome.log.observations) == 40
+        assert len(outcome.log.work) == 40
         (row,) = json.loads((run_dir / "budget" / "outcomes.json").read_text())["outcomes"]
         assert row["observations"] == 40
 
@@ -491,9 +493,7 @@ class TestRun:
         assert [o.classified for o in record.outcomes] == [
             o.classified for o in records[0].outcomes
         ]
-        assert [len(o.log.observations) for o in record.outcomes] == [
-            len(o.log.observations) for o in records[0].outcomes
-        ]
+        assert [len(o.log.work) for o in record.outcomes] == [len(o.log.work) for o in records[0].outcomes]
         got = [o.log.rates() for o in record.outcomes]
         want = [o.log.rates() for o in records[0].outcomes]
         for g, w in zip(got, want):
@@ -598,6 +598,36 @@ def usage_suite():
     )
 
 
+class TestRunReadsBack:
+    def test_every_outcome_equals_what_load_run_reads(self, tmp_path):
+        # One benchmark per ending: success, crash, timeout, missing binary, too few observations, failed gang.
+        thin = BenchmarkSpec(name="thin", run_cmd=f"{WORKER_CMD} --obs-min 1 --obs-max 10 --seed 0", obs_min=30)
+        gang = BenchmarkSpec(
+            name="gang",
+            scale="node-devices",
+            run_cmd=f"{WORKER_CMD} --obs-min 5 --obs-max 10 --seed 0 --kind crashing --crash-after {{rank}}0",
+            obs_min=5,
+        )
+        cfg = setup_suite(*usage_suite().benchmarks, thin, gang)
+        run_dir, records = run(cfg, DevicePool(devices=("d0", "d1")), tmp_path, check_setup=False)
+        loaded = load_run(run_dir).records
+        messages = set()
+        for record in records:
+            for live, back in zip(record.outcomes, loaded[record.bench].outcomes, strict=True):
+                assert live[:-1] == back[:-1], record.bench
+                assert _fields(live.log) == _fields(back.log), record.bench
+                assert _columns(live.log) == _columns(back.log), record.bench
+                messages.add((record.bench, live.classified, live.message.split(":")[0]))
+        assert messages >= {
+            ("boom", "error", "workload crashed after 2 batches"),
+            ("stall", "timeout", ""),
+            ("ghost", "error", "[Errno 2] No such file or directory"),
+            ("thin", "error", "insufficient observations"),
+            ("gang", "error", "gang member failed"),
+            ("ok", "success", ""),
+        }
+
+
 class TestChildAccounting:
     def test_every_row_has_the_child_usage(self, tmp_path):
         run_dir, records = run(usage_suite(), POOL1, tmp_path, check_setup=False)
@@ -626,7 +656,7 @@ class TestChildAccounting:
         for mode in ("spin", "sleep"):
             bench = BenchmarkSpec(name=mode, run_cmd=f"{sys.executable} {script} {mode}")
             (plan,) = plan_launches(bench, POOL1, tmp_path)
-            spent[mode] = supervise(plan, tmp_path / mode).cpu_s
+            spent[mode] = supervise_all([plan], tmp_path / mode)[0].cpu_s
         assert spent["sleep"] + 0.2 < spent["spin"]
 
     def test_no_child_is_waited_for_twice(self, tmp_path, monkeypatch):
@@ -654,7 +684,7 @@ class TestChildAccounting:
 
 def _fold_events(events):
     """The log LogFold makes of already decoded events."""
-    fold = LogFold("p")
+    fold = LogFold()
     fold.add(events)
     return fold.finish()
 
@@ -698,7 +728,7 @@ def _reference_log(events):
                 elapsed = work / float(data["rate"])
             if 0 < elapsed < math.inf and 0 < work / elapsed < math.inf:
                 warmup = bool(data.get("warmup", False))
-                observations.append(Observation(work, elapsed, warmup, event.task))
+                observations.append(Obs(work, elapsed, warmup, event.task))
             else:
                 faults += 1
         elif event.event in ("success", "error") and terminal is None:
@@ -734,7 +764,7 @@ _fold_lines = st.one_of(
 
 
 def _folded(chunks):
-    fold = LogFold("p")
+    fold = LogFold()
     for chunk in chunks:
         fold.feed(chunk)
     return fold.finish()
@@ -747,7 +777,7 @@ class TestLogFold:
         rejections = [item for item in items if isinstance(item, Rejection)]
         log = _folded(chunks)
         for got in (log, _fold_events(events)):
-            assert (got.observations, got.faults, got.terminal, got.message) == _reference_log(events)
+            assert (observed(got), got.faults, got.terminal, got.message) == _reference_log(events)
         assert log.rejected == len(rejections)
         assert log.rejection_reasons == [r.reason for r in rejections[:REASONS_KEPT]]
 
@@ -765,7 +795,7 @@ class TestLogFold:
         self.check([payload[i : i + 1] for i in range(len(payload))])
 
     def test_flood_of_rejections_keeps_a_bounded_sample(self):
-        fold = LogFold("p")
+        fold = LogFold()
         for i in range(1000):
             fold.add([Rejection("x", f"reason {i}")] * 50)
         log = fold.finish()
@@ -776,8 +806,7 @@ class TestLogFold:
 def _fields(log):
     """Every field of a log; the observations by repr, so 1 and True differ."""
     return (
-        log.process_id,
-        repr(log.observations),
+        repr(observed(log)),
         log.faults,
         log.terminal,
         log.message,
@@ -829,7 +858,7 @@ class TestFoldSidecar:
         payload = b"".join(data.draw(st.lists(lines, max_size=16))) + data.draw(st.binary(max_size=8))
         log = _folded(chop(payload, data.draw(st.lists(st.integers(0, len(payload)), max_size=20))))
         digest = hashlib.sha256(payload).hexdigest()
-        back = log_from_sidecar(fold_sidecar(log, digest, len(payload)), digest, len(payload), "p")
+        back = log_from_sidecar(fold_sidecar(log, digest, len(payload)), digest, len(payload))
         assert back is not None
         assert _fields(back) == _fields(log)
 
@@ -862,18 +891,18 @@ class TestFoldSidecar:
         sidecar, digest = _sidecar_of(payload)
         spoilt = spoil(sidecar)
         assert spoilt != sidecar
-        assert log_from_sidecar(spoilt, digest, len(payload), "p") is None
+        assert log_from_sidecar(spoilt, digest, len(payload)) is None
 
     def test_other_stream_is_not_trusted(self):
         payload = (DATA_DIR / "protocol_corpus.jsonl").read_bytes()
         sidecar, digest = _sidecar_of(payload)
-        assert log_from_sidecar(sidecar, digest, len(payload), "p") is not None
-        assert log_from_sidecar(sidecar, digest, len(payload) + 1, "p") is None
-        assert log_from_sidecar(sidecar, hashlib.sha256(b"edited").hexdigest(), len(payload), "p") is None
+        assert log_from_sidecar(sidecar, digest, len(payload)) is not None
+        assert log_from_sidecar(sidecar, digest, len(payload) + 1) is None
+        assert log_from_sidecar(sidecar, hashlib.sha256(b"edited").hexdigest(), len(payload)) is None
 
 
 _TASKS = ("train", "worker-0", "worker-1", "rang-\u00e9")
-_observation = st.builds(Observation, st.floats(1e-6, 1e6), st.floats(1e-6, 1e6), st.booleans(), st.sampled_from(_TASKS))
+_observation = st.builds(Obs, st.floats(1e-6, 1e6), st.floats(1e-6, 1e6), st.booleans(), st.sampled_from(_TASKS))
 
 
 def _stream_of(observations):
@@ -896,7 +925,7 @@ def _columns(log):
 
 
 def _reference_median(observations, drop_warmup):
-    """The fold rule over Observation values: warmup dropped unless nothing is left, then the median."""
+    """The fold rule over Obs values: warmup dropped unless nothing is left, then the median."""
     rates = [o.rate for o in observations if not (drop_warmup and o.warmup)] or [o.rate for o in observations]
     return statistics.median(rates) if rates else None
 
@@ -905,19 +934,19 @@ class TestColumnarLog:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_observation, max_size=41))
     @example([])
-    @example([Observation(3.0, 2.0, True, "train")] * 3)
-    @example([Observation(1.0, 1.0, True, "train")] * 4)
-    @example([Observation(2.0 + i, 1.0, i == 0, _TASKS[i % 3]) for i in range(6)])
-    @example([Observation(2.0 + i, 0.5, i == 0, _TASKS[(i * 5) % 4]) for i in range(7)])
+    @example([Obs(3.0, 2.0, True, "train")] * 3)
+    @example([Obs(1.0, 1.0, True, "train")] * 4)
+    @example([Obs(2.0 + i, 1.0, i == 0, _TASKS[i % 3]) for i in range(6)])
+    @example([Obs(2.0 + i, 0.5, i == 0, _TASKS[(i * 5) % 4]) for i in range(7)])
     def test_sidecar_holds_the_columns_and_folds_like_the_observations(self, observations):
         payload = _stream_of(observations)
         digest = hashlib.sha256(payload).hexdigest()
         log = _folded([payload])
-        assert log.observations == tuple(observations)
-        back = log_from_sidecar(fold_sidecar(log, digest, len(payload)), digest, len(payload), "p")
+        assert observed(log) == tuple(observations)
+        back = log_from_sidecar(fold_sidecar(log, digest, len(payload)), digest, len(payload))
         assert back is not None
         assert _columns(back) == _columns(log)
-        assert back.observations == tuple(observations)
+        assert observed(back) == tuple(observations)
         for drop_warmup in (True, False):
             want = _reference_median(observations, drop_warmup)
             assert fold_process(back, drop_warmup) == fold_process(log, drop_warmup) == want
@@ -935,19 +964,19 @@ class TestColumnarLog:
         else:
             at = body + 17 * n + 4 * i
             sidecar[at : at + 4] = len(log.tasks).to_bytes(4, sys.byteorder)
-        assert log_from_sidecar(bytes(sidecar), digest, len(payload), "p") is None
+        assert log_from_sidecar(bytes(sidecar), digest, len(payload)) is None
         with tempfile.TemporaryDirectory() as tmp:
             stream = Path(tmp) / "0.jsonl"
             stream.write_bytes(payload)
             stream.with_suffix(".fold").write_bytes(sidecar)
             with mock.patch.object(LogFold, "feed", autospec=True, side_effect=LogFold.feed) as feed:
-                got = _load_log(stream, "p")
+                got = _load_log(stream)
         assert feed.called
         assert _fields(got) == _fields(log)
 
     @pytest.mark.parametrize("work, elapsed", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0)])
     def test_add_refuses_what_observation_refuses(self, work, elapsed):
-        log = ObservationLog("p")
+        log = ObservationLog()
         with pytest.raises(ValueError):
             log.add(work, elapsed)
         assert (len(log.work), len(log.elapsed), len(log.warmup), len(log.task_index), log.tasks) == (0, 0, 0, 0, {})
@@ -957,7 +986,7 @@ def _stream_folds(run_dir, bench):
     """Each process's log, folded again from its stream."""
     logs = []
     for stream in sorted((run_dir / bench).glob("*.jsonl"), key=lambda p: int(p.stem)):
-        fold = LogFold(f"{bench}/{stream.stem}")
+        fold = LogFold()
         fold.feed(stream.read_bytes())
         logs.append(fold.finish())
     return logs
@@ -993,8 +1022,8 @@ class TestLoadRunSidecar:
         assert [_fields(g) for g in got] == [_fields(w) for w in want]
 
     def test_sidecar_keeps_the_fold_not_the_verdict(self, tmp_path, decode_counter):
-        # Timeout, too few observations and a failed gang each edit the log in
-        # supervise or _run_bench; the sidecar holds the fold of the stream alone.
+        # Timeout, too few observations and a failed gang are verdicts on the outcome;
+        # the log, live and in the sidecar, is the fold of the stream alone.
         stall = BenchmarkSpec(
             name="stall",
             run_cmd=f"{WORKER_CMD} --obs-min 1 --obs-max 500 --sleep-per-batch 0.4 --batches-per-epoch 2 --seed 0",
@@ -1010,16 +1039,17 @@ class TestLoadRunSidecar:
         )
         pool = DevicePool(devices=("d0", "d1"))
         run_dir, records = run(setup_suite(stall, thin, gang), pool, tmp_path, check_setup=False)
-        live = {r.bench: [o.log for o in r.outcomes] for r in records}
-        assert {log.terminal for log in live["stall"]} == {"timeout"}
-        assert {log.message for log in live["thin"]} == {"insufficient observations"}
-        assert live["gang"][1].message == "gang member failed"
+        live = {r.bench: r.outcomes for r in records}
+        assert {o.classified for o in live["stall"]} == {"timeout"}
+        assert {(o.classified, o.message) for o in live["thin"]} == {("error", "insufficient observations")}
+        assert (live["gang"][1].classified, live["gang"][1].message) == ("error", "gang member failed")
         for bench in ("stall", "thin", "gang"):
             want = _stream_folds(run_dir, bench)
             decode_counter.clear()
             got = _loaded_logs(run_dir, bench)
             assert decode_counter == [], bench
             assert [_fields(g) for g in got] == [_fields(w) for w in want], bench
+            assert [_fields(o.log) for o in live[bench]] == [_fields(w) for w in want], bench
         assert {log.terminal for log in got} == {"error", "success"}
 
     def test_edited_stream_is_decoded_again(self, tmp_path, decode_counter):
@@ -1032,7 +1062,7 @@ class TestLoadRunSidecar:
         (got,) = _loaded_logs(run_dir, "keep")
         assert decode_counter != []
         assert _fields(got) == _fields(_stream_folds(run_dir, "keep")[0])
-        assert (len(got.observations), got.rejected) == (len(before.observations) - 1, before.rejected + 1)
+        assert (len(got.work), got.rejected) == (len(before.work) - 1, before.rejected + 1)
 
     @pytest.mark.parametrize(
         "spoil",

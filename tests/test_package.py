@@ -9,10 +9,10 @@ import sys
 import pytest
 
 import benchforge
-from benchforge.aggregate import BenchResult, RatioRow, SuiteScore
+from benchforge.aggregate import BenchResult, SuiteScore
 from benchforge.design import ClassMetrics, CoverageReport, MLCMatrix
 from benchforge.executor import ProcessOutcome, RunRecord
-from benchforge.protocol import MetricEvent, Observation, ObservationLog, Rejection
+from benchforge.protocol import MetricEvent, ObservationLog, Rejection
 from benchforge.report import Cell, GlobalCell, ReportDocument, ReportRow
 from benchforge.suite import BenchmarkDefaults, BenchmarkSpec, CoverageTargets, SuiteConfig, TaxonomyTags
 from benchforge.worker import TimerConfig, WorkloadSpec
@@ -142,11 +142,10 @@ class TestPackageSurface:
 
 
 # One log, so that two outcomes made with it compare equal.
-LOG = ObservationLog("b/0")
+LOG = ObservationLog()
 FROZEN = [
     (MetricEvent, "data", lambda: MetricEvent("rate", 1.0, "train", {"rate": 2.0})),
     (Rejection, "reason", lambda: Rejection("x", "not valid JSON")),
-    (Observation, "work", lambda: Observation(work=2.0, elapsed=1.0)),
     (TimerConfig, "obs_min", lambda: TimerConfig(obs_min=5)),
     (WorkloadSpec, "base_rate", lambda: WorkloadSpec(kind="jitter", jitter_frac=0.1)),
     (TaxonomyTags, "domains", lambda: TaxonomyTags(domains=frozenset({"NLP"}), model_size_class="7B")),
@@ -156,10 +155,9 @@ FROZEN = [
     (SuiteConfig, "benchmarks", lambda: SuiteConfig("s", (BenchmarkSpec(name="b", run_cmd="w"),))),
     (BenchResult, "perf", lambda: BenchResult("b", 1.0, 2.0, 1.0)),
     (SuiteScore, "score", lambda: SuiteScore(2.0, {"b": 1.0}, 1.0)),
-    (RatioRow, "ratio", lambda: RatioRow("b", 1.0, 2.0, 2.0)),
     (CoverageReport, "deviation", lambda: CoverageReport({"domains": {"NLP": 1.0}}, {}, 1.0)),
     (ClassMetrics, "recall", lambda: ClassMetrics(("A",), {"A": 50.0}, {"A": None})),
-    (ProcessOutcome, "classified", lambda: ProcessOutcome(0, ["d0"], None, 0, 1.0, 0.5, 1024, "success", LOG)),
+    (ProcessOutcome, "classified", lambda: ProcessOutcome(0, ["d0"], None, 0, 1.0, 0.5, 1024, "success", "", LOG)),
     (RunRecord, "outcomes", lambda: RunRecord("b", [], {"run": 1.0}, "no plan")),
     (Cell, "perf", lambda: Cell(2.0, 1.0, 0.5)),
     (ReportRow, "cells", lambda: ReportRow("b", 1.0, {"s": Cell(2.0, 1.0)})),
@@ -186,14 +184,8 @@ class TestValueTypes:
         assert repr(a) == repr(b) and repr(a).startswith(f"{cls.__name__}(")
 
     def test_unequal_values_differ(self):
-        assert Observation(work=2.0, elapsed=1.0) != Observation(work=2.0, elapsed=1.0, warmup=True)
-        assert hash(Observation(work=2.0, elapsed=1.0)) == hash(Observation(work=2.0, elapsed=1.0))
-
-    def test_observation_validates_work_and_elapsed(self):
-        with pytest.raises(ValueError, match="work must be positive"):
-            Observation(work=0, elapsed=1)
-        with pytest.raises(ValueError, match="elapsed must be positive"):
-            Observation(work=1, elapsed=0)
+        assert BenchResult("b", 1.0, 2.0, 1.0) != BenchResult("b", 1.0, 2.0, 0.5)
+        assert hash(BenchResult("b", 1.0, 2.0, 1.0)) == hash(BenchResult("b", 1.0, 2.0, 1.0))
 
     def test_each_event_gets_a_fresh_payload(self):
         a, b = MetricEvent("start", 0.0, "train"), MetricEvent("start", 0.0, "train")

@@ -171,3 +171,39 @@ class TestSerializationConsistency:
         weights["bench-0"] = 1.0
         direct = suite_score(results_for(benches, weights)).score
         assert payload["global"]["cand"]["score"] == pytest.approx(direct, rel=1e-12)
+
+
+class TestRatio:
+    """A cell's ratio is its perf over the baseline cell's perf, absent when either is absent or the baseline's is 0."""
+
+    @staticmethod
+    def cells(baseline: tuple[float, float], candidate: tuple[float, float]):
+        """The (baseline, candidate) cells of one benchmark, each given as (perf, success_rate)."""
+        results = {"base": [BenchResult("x", 1.0, *baseline)], "cand": [BenchResult("x", 1.0, *candidate)]}
+        (row,) = render_report(results, baseline="base").rows
+        return row.cells["base"], row.cells["cand"]
+
+    def test_reformer_ratio(self):
+        base, cand = self.cells((62.3, 1.0), (103.7, 1.0))
+        assert base.ratio is None
+        assert cand.ratio == pytest.approx(1.66, abs=0.005)
+
+    def test_identity(self):
+        _, cand = self.cells((123.4, 1.0), (123.4, 1.0))
+        assert cand.ratio == pytest.approx(1.0, rel=1e-12)
+
+    def test_coarse_inputs(self):
+        _, cand = self.cells((19.0, 1.0), (111.0, 1.0))
+        assert round(cand.ratio, 2) == pytest.approx(5.84)
+
+    def test_missing_baseline_leaves_ratio_absent(self):
+        base, cand = self.cells((0.0, 0.0), (10.0, 1.0))
+        assert (base.perf, cand.perf, cand.ratio) == (None, 10.0, None)
+
+    def test_baseline_perf_zero_leaves_ratio_absent(self):
+        base, cand = self.cells((0.0, 1.0), (10.0, 1.0))
+        assert (base.perf, cand.ratio) == (0.0, None)
+
+    def test_failed_candidate_leaves_ratio_absent(self):
+        base, cand = self.cells((10.0, 1.0), (0.0, 0.0))
+        assert (base.perf, cand.perf, cand.ratio) == (10.0, None, None)

@@ -176,7 +176,7 @@ def _write_stream(bench_dir: Path, rank: int, data: bytes, sidecar: str) -> None
         return
     # A stale sidecar is the fold of the stream as it was one line earlier.
     folded = data if sidecar == "present" else data[: data.rstrip(b"\n").rfind(b"\n") + 1]
-    fold = LogFold(f"{bench_dir.name}/{rank}")
+    fold = LogFold()
     fold.feed(folded)
     digest = hashlib.sha256(folded).hexdigest()
     (bench_dir / f"{rank}.fold").write_bytes(fold_sidecar(fold.finish(), digest, len(folded)))

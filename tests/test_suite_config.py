@@ -414,6 +414,23 @@ class TestTypes:
             phase(SuiteConfig("s", (_VALID._replace(name="../outside"),)), base)
         assert list(tmp_path.iterdir()) == [base] and list(base.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "field, violation",
+        [
+            ("weight", f"benchmark {_VALID.name!r}: weight must be finite, got <int too long to show>"),
+            ("name", "benchmark <int too long to show>: name must be text, got <int too long to show>"),
+        ],
+    )
+    def test_int_too_long_to_print_is_one_violation(self, field, violation, tmp_path):
+        # More digits than repr may print (sys.get_int_max_str_digits(), 4300 by default).
+        cfg = SuiteConfig("s", (_VALID._replace(**{field: 10**5000}),))
+        assert validate_suite(cfg) == [violation]
+        base = tmp_path / "base"
+        for phase in (lambda cfg, base: run(cfg, DevicePool(("d0",)), base, check_setup=False), install, prepare):
+            with pytest.raises(SuiteError, match="too long to show"):
+                phase(cfg, base)
+        assert not base.exists()
+
 
 class TestSelect:
     def test_star_is_identity(self, reference_suite):

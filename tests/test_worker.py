@@ -16,11 +16,12 @@ from benchforge.worker import (
     main,
     timed_iterate,
 )
+from conftest import observed
 
 
 def fold(events):
     """The harness's fold of a worker's events: its ObservationLog."""
-    log_fold = LogFold("worker")
+    log_fold = LogFold()
     log_fold.add(events)
     return log_fold.finish()
 
@@ -36,8 +37,8 @@ class TestBudget:
         spec = WorkloadSpec(kind="constant", batch_size=32, base_rate=64.0)
         log, _ = run_workload(spec, TimerConfig(obs_min=30, obs_max=60))
         assert log.terminal == "success"
-        assert len(log.observations) == 60
-        for obs in log.observations:
+        assert len(log.work) == 60
+        for obs in observed(log):
             assert obs.rate == pytest.approx(64.0, rel=1e-9)
 
     def test_stop_mid_third_epoch_with_epoch_25(self):
@@ -45,7 +46,7 @@ class TestBudget:
         behavior = SyntheticWorkload(spec, seed=0)
         log, _ = run_workload(behavior, TimerConfig(obs_min=30, obs_max=60))
         assert log.terminal == "success"
-        assert len(log.observations) == 60
+        assert len(log.work) == 60
         # Budget check fires before the 61st batch would start.
         assert behavior.batches_started == 60
 
@@ -53,21 +54,21 @@ class TestBudget:
         spec = WorkloadSpec(kind="constant", batches_per_epoch=7)
         log, _ = run_workload(spec, TimerConfig(obs_min=10, obs_max=60, epochs_max=2))
         assert log.terminal == "success"
-        assert len(log.observations) == 14
+        assert len(log.work) == 14
 
     def test_insufficient_observations_is_an_error(self):
         spec = WorkloadSpec(kind="constant", batches_per_epoch=3)
         log, events = run_workload(spec, TimerConfig(obs_min=30, obs_max=60, epochs_max=2))
         assert log.terminal == "error"
         assert log.message == "insufficient observations"
-        assert len(log.observations) == 6
+        assert len(log.work) == 6
         assert any(e.event == "error" for e in events)
 
     def test_crash_keeps_observations_gathered_so_far(self):
         spec = WorkloadSpec(kind="crashing", crash_after=10)
         log, events = run_workload(spec, TimerConfig(obs_min=30, obs_max=60))
         assert log.terminal == "error"
-        assert len(log.observations) == 10
+        assert len(log.work) == 10
         kinds = [e.event for e in events]
         assert kinds[-2:] == ["error", "end"]
 
@@ -166,7 +167,7 @@ class TestDeterminism:
         log_a, events_a = run_workload(spec, cfg, seed=7)
         log_b, events_b = run_workload(spec, cfg, seed=7)
         assert events_a == events_b
-        assert log_a.observations == log_b.observations
+        assert observed(log_a) == observed(log_b)
 
     def test_different_seeds_differ(self):
         spec = WorkloadSpec(kind="jitter", jitter_frac=0.3)
@@ -189,15 +190,15 @@ class TestDeterminism:
                     break
             if len(sampled) == 60:
                 break
-        observed = [o.rate for o in log.observations]
-        assert observed == pytest.approx(sampled, rel=1e-12)
-        mean = sum(observed) / len(observed)
+        rates = log.rates()
+        assert rates == pytest.approx(sampled, rel=1e-12)
+        mean = sum(rates) / len(rates)
         assert abs(mean - 64.0) / 64.0 < 0.02
 
     def test_degrading_slows_linearly(self):
         spec = WorkloadSpec(kind="degrading", jitter_frac=0.05, batch_size=10, base_rate=10.0)
         log, _ = run_workload(spec, TimerConfig(obs_min=5, obs_max=20))
-        rates = [o.rate for o in log.observations]
+        rates = log.rates()
         assert rates == sorted(rates, reverse=True)
         assert rates[0] == pytest.approx(10.0)
         assert rates[10] == pytest.approx(10.0 / 1.5)
@@ -208,14 +209,14 @@ class TestMultiworker:
         spec = WorkloadSpec(kind="multiworker", workers=4)
         log, events = run_workload(spec, TimerConfig(obs_min=10, obs_max=20), seed=3)
         assert log.terminal == "success"
-        tasks = {o.task for o in log.observations}
+        tasks = {o.task for o in observed(log)}
         assert tasks == {f"worker-{i}" for i in range(4)}
         for worker in tasks:
             times = [e.time for e in events if e.task == worker]
             assert times == sorted(times)
         # Each worker keeps its own budget.
         for worker in tasks:
-            count = sum(1 for o in log.observations if o.task == worker)
+            count = sum(1 for o in observed(log) if o.task == worker)
             assert 10 <= count <= 20
 
     def test_terminal_events_emitted_once_per_process(self):
@@ -249,14 +250,14 @@ class TestInvariants:
             epochs_started = sum(
                 1 for e in events if e.event == "phase" and e.data.get("phase") == "flush"
             )
-            total_work = sum(o.work for o in log.observations)
+            total_work = sum(o.work for o in observed(log))
             assert total_work <= spec.batch_size * spec.batches_per_epoch * epochs_started
 
     def test_warmup_flag_on_first_observation_only(self):
         spec = WorkloadSpec(kind="constant", batches_per_epoch=10)
         log, _ = run_workload(spec, TimerConfig(obs_min=5, obs_max=25))
-        assert log.observations[0].warmup
-        assert not any(o.warmup for o in log.observations[1:])
+        assert observed(log)[0].warmup
+        assert not any(o.warmup for o in observed(log)[1:])
 
     def test_success_terminal_requires_obs_min(self):
         # terminal=success implies the log met the configured minimum
@@ -265,7 +266,7 @@ class TestInvariants:
             cfg = TimerConfig(obs_min=12, obs_max=40, epochs_max=2)
             log, _ = run_workload(spec, cfg)
             if log.terminal == "success":
-                assert len(log.observations) >= 12
+                assert len(log.work) >= 12
 
 
 class TestValidation:
@@ -323,7 +324,13 @@ class TestValidation:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "variable, value", [("BENCHFORGE_OBS_MIN", "x"), ("BENCHFORGE_OBS_MAX", "4.5"), ("BENCHFORGE_OBS_MAX", "")]
+        "variable, value",
+        [
+            ("BENCHFORGE_OBS_MIN", "x"),
+            ("BENCHFORGE_OBS_MAX", "4.5"),
+            ("BENCHFORGE_OBS_MAX", ""),
+            ("BENCHFORGE_METRICS_FD", "/dev/null"),  # a path is not a channel
+        ],
     )
     def test_cli_refuses_non_integer_budget_variables(self, variable, value, monkeypatch, capsys):
         monkeypatch.setenv(variable, value)
@@ -412,7 +419,7 @@ def test_exit_code_agrees_with_the_harness_fold(argv, code, monkeypatch, capsys)
     for variable in ("BENCHFORGE_OBS_MIN", "BENCHFORGE_OBS_MAX", "BENCHFORGE_METRICS_FD"):
         monkeypatch.delenv(variable, raising=False)
     assert main(argv) == code
-    log_fold = LogFold("worker")
+    log_fold = LogFold()
     log_fold.feed(capsys.readouterr().out.encode())
     log = log_fold.finish()
     assert (log.terminal == "success") == (code == 0)
