@@ -207,3 +207,13 @@ class TestRatio:
     def test_failed_candidate_leaves_ratio_absent(self):
         base, cand = self.cells((10.0, 1.0), (0.0, 0.0))
         assert (base.perf, cand.perf, cand.ratio) == (10.0, None, None)
+
+    def test_name_mismatch_is_an_error(self):
+        # Same names in another order: pairing by position would divide one
+        # benchmark's perf by another's baseline, so the report refuses it.
+        results = {
+            "base": results_for({"x": 1.0, "y": 2.0}),
+            "cand": results_for({"y": 2.0, "x": 1.0}),
+        }
+        with pytest.raises(ReportError, match="'cand' reports a different benchmark set"):
+            render_report(results, baseline="base")
