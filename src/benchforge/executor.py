@@ -43,6 +43,8 @@ INSTALL_STAMP = ".installed"
 PREPARE_STAMP = ".prepared"
 # Longest a child's metric pipe is read after the child exited or was killed.
 DRAIN_S = 1.0
+# Longest single wait for a child: epoll refuses waits over ~24 days, so a later deadline is re-checked daily.
+_RECHECK_S = 86400
 
 
 class ExecutorError(RuntimeError):
@@ -427,8 +429,8 @@ def supervise_all(plans: list[ProcessPlan], out_dir: Path | str) -> list[Process
         try:
             children.extend(_Child(plan, out_dir, sel) for plan in plans)
             while live := [child for child in children if child.log is None]:
-                # epoll refuses waits over ~24 days; a later deadline is re-checked daily.
-                for key, _ in sel.select(min(min(child.deadline for child in live) - time.monotonic(), 86400)):
+                wait = min(child.deadline for child in live) - time.monotonic()
+                for key, _ in sel.select(min(wait, _RECHECK_S)):
                     if key.fd == key.data.read_fd:
                         key.data.read(sel)
                     else:
@@ -480,9 +482,32 @@ def _pending(bench: BenchmarkSpec, base_dir: Path, phase: str) -> bool:
     return bool(command) and not (stamp.exists() and stamp.read_text() == _stamp_token(command))
 
 
-def _setup_phase(cfg: SuiteConfig, base_dir: Path, phase: str) -> dict[str, str]:
+def _run_setup(argv: tuple[str, ...], cwd: Path, env: dict[str, str], timeout_s: float) -> bool:
+    """Run a setup command in its own session; whether it exited 0 within ``timeout_s``.
+
+    The command's whole process group is killed once it exits or its time
+    is up, so no background process it started outlives it.
+    """
+    import select
     import subprocess
 
+    try:
+        proc = subprocess.Popen(argv, cwd=cwd, env=env, start_new_session=True)
+    except OSError:
+        return False
+    deadline = time.monotonic() + timeout_s
+    pidfd = os.pidfd_open(proc.pid)
+    try:
+        while (left := deadline - time.monotonic()) > 0:
+            if select.select([pidfd], [], [], min(left, _RECHECK_S))[0]:
+                break
+    finally:
+        os.close(pidfd)
+        _kill_group(proc)
+    return proc.returncode == 0
+
+
+def _setup_phase(cfg: SuiteConfig, base_dir: Path, phase: str) -> dict[str, str]:
     # Each entry's own rules, before any directory exists; the suite-wide total-weight rule
     # is not one of them, so a selection of unweighted benchmarks can still be set up.
     violations = [v for bench in cfg.benchmarks for v in benchmark_violations(bench)]
@@ -506,17 +531,7 @@ def _setup_phase(cfg: SuiteConfig, base_dir: Path, phase: str) -> dict[str, str]
         bench_dir = base_dir / subdir / bench.name
         bench_dir.mkdir(parents=True, exist_ok=True)
         argv = resolve_command(command, base_dir, bench_dir)
-        try:
-            result = subprocess.run(
-                argv,
-                cwd=bench_dir,
-                env={**os.environ, **bench.env},
-                timeout=bench.timeout_s,
-            )
-            ok = result.returncode == 0
-        except (OSError, subprocess.TimeoutExpired):
-            ok = False
-        if ok:
+        if _run_setup(argv, bench_dir, {**os.environ, **bench.env}, bench.timeout_s):
             (bench_dir / stamp_name).write_text(_stamp_token(command))
             statuses[bench.name] = "done"
         else:

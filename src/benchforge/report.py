@@ -21,6 +21,8 @@ class ReportError(ValueError):
 
 
 class Cell(NamedTuple):
+    """One system's result on one benchmark; the field order is its key order in ``render_json``."""
+
     perf: float | None
     success_rate: float
     ratio: float | None = None
@@ -33,6 +35,8 @@ class ReportRow(NamedTuple):
 
 
 class GlobalCell(NamedTuple):
+    """One system's suite score; the field order is its key order in ``render_json``."""
+
     score: float
     total_weight: float
     ratio: float | None = None
@@ -216,24 +220,10 @@ def render_json(doc: ReportDocument) -> str:
             {
                 "bench": row.bench,
                 "weight": row.weight,
-                "results": {
-                    s: {
-                        "perf": row.cells[s].perf,
-                        "success_rate": row.cells[s].success_rate,
-                        "ratio": row.cells[s].ratio,
-                    }
-                    for s in doc.systems
-                },
+                "results": {s: row.cells[s]._asdict() for s in doc.systems},
             }
             for row in doc.rows
         ],
-        "global": {
-            s: {
-                "score": doc.global_scores[s].score,
-                "total_weight": doc.global_scores[s].total_weight,
-                "ratio": doc.global_scores[s].ratio,
-            }
-            for s in doc.systems
-        },
+        "global": {s: doc.global_scores[s]._asdict() for s in doc.systems},
     }
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"

@@ -288,10 +288,16 @@ def _as_float(value: Any) -> Any:
 
 
 def _entry_violations(where: str, entry: BenchmarkDefaults | BenchmarkSpec) -> list[str]:
-    """The value rules the suite defaults share with each benchmark: observation budget and timeout."""
+    """The value rules the suite defaults share with each benchmark: observation budget and timeout.
+
+    A budget must fit a signed 64-bit int, so that any child can read the value ``run`` exports to it.
+    """
     violations: list[str] = []
     if entry.obs_min <= 0:
         violations.append(f"{where}: obs_min must be positive, got {_shown(entry.obs_min)}")
+    for field in ("obs_min", "obs_max"):
+        if getattr(entry, field) > 2**63 - 1:
+            violations.append(f"{where}: {field} must be at most 2**63 - 1, got {_shown(getattr(entry, field))}")
     if entry.obs_min > entry.obs_max:
         violations.append(
             f"{where}: obs_min <= obs_max required, got {_shown(entry.obs_min)} > {_shown(entry.obs_max)}"
@@ -429,17 +435,13 @@ def _matches(bench: BenchmarkSpec, term: str) -> bool:
 def render_suite(cfg: SuiteConfig) -> str:
     """Render a SuiteConfig back to YAML such that reparsing round-trips.
 
-    Every field is written explicitly, so the output is also the
-    canonical form hashed by ``SuiteConfig.sha256``.
+    Every field is written explicitly, except the ``_WHEN_SET`` ones, so
+    the output is also the canonical form hashed by ``SuiteConfig.sha256``.
     """
     doc: dict[str, Any] = {
         "suite": cfg.suite_name,
-        "defaults": {
-            "obs_min": cfg.defaults.obs_min,
-            "obs_max": cfg.defaults.obs_max,
-            "timeout_s": _as_float(cfg.defaults.timeout_s),
-        },
-        "benchmarks": [_render_benchmark(b) for b in cfg.benchmarks],
+        "defaults": _rendered(cfg.defaults),
+        "benchmarks": [_rendered(b) for b in cfg.benchmarks],
     }
     if cfg.targets is not None:
         doc["targets"] = {
@@ -454,32 +456,26 @@ def text_sha256(rendered: str) -> str:
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
 
 
-def _render_benchmark(bench: BenchmarkSpec) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "name": bench.name,
-        "weight": _as_float(bench.weight),
-        "enabled": bench.enabled,
-        "scale": bench.scale,
-        "run_cmd": bench.run_cmd,
-        "unit_of_work": bench.unit_of_work,
-        "obs_min": bench.obs_min,
-        "obs_max": bench.obs_max,
-        "timeout_s": _as_float(bench.timeout_s),
-    }
-    if bench.install_cmd:
-        out["install_cmd"] = bench.install_cmd
-    if bench.prepare_cmd:
-        out["prepare_cmd"] = bench.prepare_cmd
-    if bench.env:
-        out["env"] = dict(sorted(bench.env.items()))
-    if bench.tags is not None:
-        out["tags"] = {
-            "domains": sorted(bench.tags.domains),
-            "architectures": sorted(bench.tags.architectures),
-            "model_size_class": bench.tags.model_size_class,
-            "parallelism": sorted(bench.tags.parallelism),
-            "libraries": sorted(bench.tags.libraries),
-        }
+# Fields written only when set, after all the others; this order is part of every suite hash.
+_WHEN_SET = ("install_cmd", "prepare_cmd", "env", "tags")
+
+
+def _rendered(entry: BenchmarkDefaults | BenchmarkSpec | TaxonomyTags) -> dict[str, Any]:
+    """``entry``'s fields in field order, the ``_WHEN_SET`` ones last: numbers as floats, sets and env sorted."""
+    out: dict[str, Any] = {}
+    for field in sorted(entry._fields, key=_WHEN_SET.__contains__):
+        value, kind = getattr(entry, field), type(entry._field_defaults.get(field))
+        if field in _WHEN_SET and not value:
+            continue
+        if kind is float:
+            value = _as_float(value)
+        elif kind is frozenset:
+            value = sorted(value)
+        elif field == "env":
+            value = dict(sorted(value.items()))
+        elif field == "tags":
+            value = _rendered(value)
+        out[field] = value
     return out
 
 

@@ -30,32 +30,33 @@ class WorkloadCrash(Exception):
 
 
 class _TimerConfigFields(NamedTuple):
-    obs_min: int
-    obs_max: int
-    epochs_max: int
+    obs_min: int = 30
+    obs_max: int = 60
+    epochs_max: int = 10
 
 
 class TimerConfig(_TimerConfigFields):
     __slots__ = ()
 
-    def __new__(cls, obs_min: int = 30, obs_max: int = 60, epochs_max: int = 10):
-        if not 0 < obs_min <= obs_max:
-            raise ValueError(f"need 0 < obs_min <= obs_max, got {obs_min}, {obs_max}")
-        if epochs_max <= 0:
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        if not 0 < cfg.obs_min <= cfg.obs_max:
+            raise ValueError(f"need 0 < obs_min <= obs_max, got {cfg.obs_min}, {cfg.obs_max}")
+        if cfg.epochs_max <= 0:
             raise ValueError("epochs_max must be positive")
-        return super().__new__(cls, obs_min, obs_max, epochs_max)
+        return cfg
 
 
 class _WorkloadSpecFields(NamedTuple):
-    kind: str
-    batch_size: int
-    base_rate: float
-    jitter_frac: float
-    crash_after: int | None
-    workers: int
-    batches_per_epoch: int
-    units: str
-    sleep_per_batch: float
+    kind: str = "constant"
+    batch_size: int = 32
+    base_rate: float = 64.0
+    jitter_frac: float = 0.0
+    crash_after: int | None = None
+    workers: int = 1
+    batches_per_epoch: int = 25
+    units: str = "items"
+    sleep_per_batch: float = 0.0
 
 
 class WorkloadSpec(_WorkloadSpecFields):
@@ -68,38 +69,25 @@ class WorkloadSpec(_WorkloadSpecFields):
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        kind: str = "constant",
-        batch_size: int = 32,
-        base_rate: float = 64.0,
-        jitter_frac: float = 0.0,
-        crash_after: int | None = None,
-        workers: int = 1,
-        batches_per_epoch: int = 25,
-        units: str = "items",
-        sleep_per_batch: float = 0.0,
-    ):
-        if kind not in WORKLOAD_KINDS:
-            raise ValueError(f"unknown workload kind {kind!r}")
-        if batch_size <= 0:
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        if spec.kind not in WORKLOAD_KINDS:
+            raise ValueError(f"unknown workload kind {spec.kind!r}")
+        if spec.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if not 0 < base_rate < math.inf:
+        if not 0 < spec.base_rate < math.inf:
             raise ValueError("base_rate must be positive and finite")
-        if not 0.0 <= jitter_frac < 1.0:
+        if not 0.0 <= spec.jitter_frac < 1.0:
             raise ValueError("jitter_frac must be in [0, 1)")
-        if crash_after is not None and crash_after < 0:
+        if spec.crash_after is not None and spec.crash_after < 0:
             raise ValueError("crash_after must be >= 0")
-        if workers <= 0:
+        if spec.workers <= 0:
             raise ValueError("workers must be positive")
-        if batches_per_epoch <= 0:
+        if spec.batches_per_epoch <= 0:
             raise ValueError("batches_per_epoch must be positive")
-        if not 0.0 <= sleep_per_batch < math.inf:
+        if not 0.0 <= spec.sleep_per_batch < math.inf:
             raise ValueError("sleep_per_batch must be >= 0 and finite")
-        return super().__new__(
-            cls, kind, batch_size, base_rate, jitter_frac, crash_after, workers,
-            batches_per_epoch, units, sleep_per_batch,
-        )
+        return spec
 
 
 class SyntheticWorkload:
@@ -294,28 +282,15 @@ def _check_virtual_time(spec: WorkloadSpec, cfg: TimerConfig) -> None:
 
 
 def _spec_payload(spec: WorkloadSpec, cfg: TimerConfig, seed: int) -> dict:
-    return {
-        "kind": spec.kind,
-        "batch_size": spec.batch_size,
-        "base_rate": spec.base_rate,
-        "jitter_frac": spec.jitter_frac,
-        "workers": spec.workers,
-        "batches_per_epoch": spec.batches_per_epoch,
-        "units": spec.units,
-        "obs_min": cfg.obs_min,
-        "obs_max": cfg.obs_max,
-        "epochs_max": cfg.epochs_max,
-        "seed": seed,
-    }
+    payload = {k: v for k, v in spec._asdict().items() if k not in ("crash_after", "sleep_per_batch")}
+    return {**payload, **cfg._asdict(), "seed": seed}
 
 
-def _env_default(flag: int | None, variable: str, default: int | None) -> int | None:
-    """An explicit flag, else the integer the harness exported in ``variable``, else ``default``."""
-    if flag is not None:
-        return flag
+def _env_int(variable: str) -> int | None:
+    """The integer the harness exported in ``variable``, or None when it is unset."""
     text = os.environ.get(variable)
     if text is None:
-        return default
+        return None
     try:
         return int(text)
     except ValueError:
@@ -325,51 +300,37 @@ def _env_default(flag: int | None, variable: str, default: int | None) -> int | 
 def main(argv: list[str] | None = None) -> int:
     # The imported modules live as long as the process: keep the collector from walking them again.
     gc.freeze()
+    # A flag left out is left out of the namespace, so the field keeps its own default.
     parser = argparse.ArgumentParser(
         prog="benchforge-worker",
         description="Synthetic benchmark worker speaking the metric protocol.",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--kind", choices=WORKLOAD_KINDS, default="constant")
-    parser.add_argument("--batch", type=int, default=32, help="work items per batch")
-    parser.add_argument("--rate", type=float, default=64.0, help="true units of work per second")
-    parser.add_argument("--jitter", type=float, default=0.0, help="uniform jitter fraction")
-    parser.add_argument("--crash-after", type=int, default=None, metavar="N")
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--batches-per-epoch", type=int, default=25)
-    parser.add_argument("--units", default="items")
-    parser.add_argument("--obs-min", type=int, default=None, help="default: $BENCHFORGE_OBS_MIN, else 30")
-    parser.add_argument("--obs-max", type=int, default=None, help="default: $BENCHFORGE_OBS_MAX, else 60")
-    parser.add_argument("--epochs-max", type=int, default=10)
+    parser.add_argument("--kind", choices=WORKLOAD_KINDS)
+    parser.add_argument("--batch", dest="batch_size", type=int, help="work items per batch")
+    parser.add_argument("--rate", dest="base_rate", type=float, help="true units of work per second")
+    parser.add_argument("--jitter", dest="jitter_frac", type=float, help="uniform jitter fraction")
+    parser.add_argument("--crash-after", type=int, metavar="N")
+    parser.add_argument("--workers", type=int)
+    parser.add_argument("--batches-per-epoch", type=int)
+    parser.add_argument("--units")
+    parser.add_argument("--obs-min", type=int, help=f"default: $BENCHFORGE_OBS_MIN, else {TimerConfig().obs_min}")
+    parser.add_argument("--obs-max", type=int, help=f"default: $BENCHFORGE_OBS_MAX, else {TimerConfig().obs_max}")
+    parser.add_argument("--epochs-max", type=int)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--task", default="train")
-    parser.add_argument(
-        "--sleep-per-batch",
-        type=float,
-        default=0.0,
-        help="real seconds to stall per batch (timeout testing)",
-    )
-    args = parser.parse_args(argv)
+    parser.add_argument("--sleep-per-batch", type=float, help="real seconds to stall per batch (timeout testing)")
+    given = vars(parser.parse_args(argv))
 
     try:
-        spec = WorkloadSpec(
-            kind=args.kind,
-            batch_size=args.batch,
-            base_rate=args.rate,
-            jitter_frac=args.jitter,
-            crash_after=args.crash_after,
-            workers=args.workers,
-            batches_per_epoch=args.batches_per_epoch,
-            units=args.units,
-            sleep_per_batch=args.sleep_per_batch,
-        )
-        cfg = TimerConfig(
-            obs_min=_env_default(args.obs_min, "BENCHFORGE_OBS_MIN", 30),
-            obs_max=_env_default(args.obs_max, "BENCHFORGE_OBS_MAX", 60),
-            epochs_max=args.epochs_max,
-        )
+        spec = WorkloadSpec(**{k: v for k, v in given.items() if k in WorkloadSpec._fields})
+        for field in ("obs_min", "obs_max"):
+            if field not in given and (value := _env_int(f"BENCHFORGE_{field.upper()}")) is not None:
+                given[field] = value
+        cfg = TimerConfig(**{k: v for k, v in given.items() if k in TimerConfig._fields})
         _check_virtual_time(spec, cfg)
         # The metric channel: an inherited file descriptor, else stdout.
-        metrics_fd = _env_default(None, "BENCHFORGE_METRICS_FD", None)
+        metrics_fd = _env_int("BENCHFORGE_METRICS_FD")
     except ValueError as exc:
         print(f"benchforge-worker: {exc}", file=sys.stderr)
         return 2
@@ -382,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         channel.flush()
 
     try:
-        message = timed_iterate(spec, cfg, emit, seed=args.seed, task=args.task)
+        message = timed_iterate(spec, cfg, emit, seed=given["seed"], task=given["task"])
     finally:
         if channel is not sys.stdout:
             channel.close()

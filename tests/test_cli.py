@@ -340,6 +340,16 @@ class TestSelectAndErrors:
         assert capsys.readouterr().err == f"benchforge: benchmark 'a': timeout_s must be finite, got {timeout}\n"
         assert not (tmp_path / "base").exists()
 
+    def test_budget_past_a_signed_64_bit_int_is_config_error(self, tmp_path, capsys):
+        suite = tmp_path / "budget.yaml"
+        suite.write_text("suite: s\nbenchmarks:\n  - {name: a, run_cmd: 'true', obs_max: 9223372036854775808}\n")
+        base = tmp_path / "base"
+        assert main(["run", "--config", str(suite), "--base-dir", str(base), "--no-setup-check"]) == 4
+        assert capsys.readouterr().err == (
+            "benchforge: benchmark 'a': obs_max must be at most 2**63 - 1, got 9223372036854775808\n"
+        )
+        assert not (base / "runs").exists()
+
     def test_failing_benchmark_exits_three(self, tmp_path):
         suite = tmp_path / "s.yaml"
         suite.write_text(

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import statistics
 import sys
 import tempfile
@@ -360,6 +361,44 @@ class TestInstallPrepare:
         changed = setup_suite(BenchmarkSpec(name="p", run_cmd="w", install_cmd="true v2", prepare_cmd="true"))
         assert prepare(changed, tmp_path) == {"p": "blocked: install incomplete"}
         assert prepare(cfg, tmp_path) == {"p": "done"}
+
+
+def _marked(mark):
+    """Pids of the live processes whose argv carries ``mark``, from a read-only scan of /proc."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        try:  # a zombie's cmdline is empty
+            if entry.name.isdigit() and mark.encode() in (entry / "cmdline").read_bytes().split(b"\0"):
+                pids.append(int(entry.name))
+        except OSError:  # the process ended during the scan
+            pass
+    return pids
+
+
+class TestSetupProcessGroup:
+    """A setup command's background children end with it, at its exit or at its timeout."""
+
+    @pytest.mark.parametrize(
+        "tail, timeout_s, status", [("; wait", 1, "failed"), ("", 30, "done")], ids=["timeout", "exit-0"]
+    )
+    def test_no_marked_process_outlives_install(self, tail, timeout_s, status, tmp_path):
+        mark = f"benchforge-setup-mark-{os.getpid()}-{tmp_path.name}"
+        # The sleeper touches a file named by its mark, so the shell knows it is running.
+        sleeper = f"{sys.executable} -c 'import pathlib, sys, time; pathlib.Path(sys.argv[1]).touch(); time.sleep(37)'"
+        command = f'sh -c "{sleeper} {mark} & until [ -e {mark} ]; do sleep 0.01; done{tail}"'
+        bench = BenchmarkSpec(name="s", run_cmd="w", install_cmd=command, timeout_s=timeout_s)
+        started = time.monotonic()
+        try:
+            assert install(setup_suite(bench), tmp_path) == {"s": status}
+            assert time.monotonic() - started < 1.5
+            # SIGKILL is delivered at once, but a process takes a moment to exit.
+            deadline = time.monotonic() + 1.0
+            while _marked(mark) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert _marked(mark) == []
+        finally:
+            for pid in _marked(mark):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestRun:

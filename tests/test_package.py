@@ -48,8 +48,9 @@ CLI_NEVER_AT_IMPORT = (
 
 # What the CLI imports only when a command needs it: subprocess, selectors and
 # signal when a child is started, resource when a run ends, shlex when a suite's
-# command templates are checked.
-RUN_ONLY = ("subprocess", "selectors", "signal", "resource", "shlex")
+# command templates are checked. A ``report`` checks templates, and starts no child.
+PROCESS_ONLY = ("subprocess", "selectors", "signal", "resource")
+RUN_ONLY = (*PROCESS_ONLY, "shlex")
 
 # Every module the benchmark's tracer wraps must still load with the CLI.
 TRACED = ("suite", "executor", "protocol", "aggregate", "report", "cli")
@@ -108,6 +109,26 @@ class TestImportHygiene:
         assert code == 0
         assert "benchforge.executor" in loaded
         assert "concurrent.futures" not in loaded
+
+    def test_report_loads_no_process_module(self, tmp_path):
+        from test_report_differential import _line, write_run
+
+        stream = _line("rate", {"batch": 32, "rate": 64.0, "units": "x"}) + _line("success", {})
+        process = {"stream": (stream, []), "classified": "success", "sidecar": "present"}
+        bench = {"scale": "single-device", "weight": 1.0, "enabled": True, "obs_min": 1, "processes": [process]}
+        write_run(tmp_path / "run", [bench], [0])
+        argv = ["report", "--runs", str(tmp_path / "run")]
+        # ``report`` prints its table on stdout, so the modules come on the last line.
+        done = fresh_python(
+            "-c",
+            f"import json, sys; from benchforge.cli import main; code = main({argv!r}); "
+            "print(json.dumps([code, sorted(sys.modules)]))",
+        )
+        assert done.returncode == 0, done.stderr
+        code, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0
+        assert "benchforge.executor" in loaded
+        assert not set(loaded) & set(PROCESS_ONLY)
 
     def test_cli_import_loads_every_traced_layer(self):
         loaded = modules_after("import benchforge.cli")

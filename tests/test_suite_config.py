@@ -431,6 +431,19 @@ class TestTypes:
                 phase(cfg, base)
         assert not base.exists()
 
+    def test_budget_past_a_signed_64_bit_int_is_refused(self, tmp_path):
+        cfg = SuiteConfig("s", (BenchmarkSpec(name="a", run_cmd="true", obs_min=10**5000, obs_max=10**5000),))
+        assert validate_suite(cfg) == [
+            f"benchmark 'a': {field} must be at most 2**63 - 1, got <int too long to show>"
+            for field in ("obs_min", "obs_max")
+        ]
+        with pytest.raises(SuiteError, match="obs_min must be at most"):
+            run(cfg, DevicePool(("d0",)), tmp_path, check_setup=False)
+        assert not (tmp_path / "runs").exists()
+        defaults = SuiteConfig("s", (_VALID,), BenchmarkDefaults(obs_max=2**63))
+        assert validate_suite(defaults) == ["defaults: obs_max must be at most 2**63 - 1, got 9223372036854775808"]
+        assert validate_suite(SuiteConfig("s", (_VALID._replace(obs_max=2**63 - 1),))) == []
+
 
 class TestSelect:
     def test_star_is_identity(self, reference_suite):
@@ -564,6 +577,39 @@ class TestRoundTrip:
     def test_reference_suite_hash_is_pinned(self, reference_suite):
         # Stored runs are matched by this hash; a rendering change would orphan them.
         assert reference_suite.sha256() == "309fa8ef850feb85160581e4f55f33282e7aa7632f92d7a6e67873455a3723e1"
+
+    def test_every_field_renders_in_its_pinned_place(self):
+        # The reference suite sets no install_cmd, prepare_cmd or env; this suite sets every field.
+        tags = TaxonomyTags(
+            domains=frozenset({"NLP", "CV"}),
+            architectures=frozenset({"Transformer", "CNN"}),
+            model_size_class="7B",
+            parallelism=frozenset({"Single"}),
+            libraries=frozenset({"torch", "JAX"}),
+        )
+        every = BenchmarkSpec(
+            name="all-set",
+            weight=2,
+            enabled=False,
+            scale="node-devices",
+            install_cmd="setup {bench_dir}",
+            prepare_cmd="fetch {base_dir}",
+            run_cmd="worker --seed {rank}",
+            env={"ZED": "1", "ALPHA": "two words"},
+            unit_of_work="tokens",
+            obs_min=3,
+            obs_max=7,
+            timeout_s=12,
+            tags=tags,
+        )
+        cfg = SuiteConfig(
+            "every-field",
+            (every, BenchmarkSpec(name="plain", run_cmd="w")),
+            BenchmarkDefaults(obs_min=3, obs_max=90, timeout_s=60),
+            CoverageTargets({"model_sizes": {"7B": 1}, "domains": {"NLP": 0.5, "CV": 0.25}}),
+        )
+        assert cfg.sha256() == "a9a86ddd583c841b7a641241562a32225356a6bbcab968246086557d42c53959"
+        assert parse_suite(render_suite(cfg)) == cfg
 
 
 # Suites of valid types whose values stray over and past every rule of
