@@ -29,6 +29,12 @@ change against the bound in the head's ``BENCHMARK.json``; then the traced
 pair's per-layer metrics, and the ``--layers`` named as moved. ``--layers``
 must name ``per_layer`` metrics of the head's ``BENCHMARK.json``; that is
 checked before any run. Only the standard library is used.
+
+A metric is ``unresolved`` when the base's own quartile distance exceeds
+``bound`` times the base's median and not every head run is below every base
+run. The base's runs then spread wider than the bound, so these runs cannot
+tell a change within the bound from none: report such a metric as
+unresolved, not as unchanged.
 """
 
 from __future__ import annotations
@@ -106,6 +112,7 @@ def compare_metric(base: list[float], head: list[float], bound: float | None) ->
         "beyond_base_iqr": b["median"] - h["median"] > b["q3"] - b["q1"],
         "bound": bound,
         "within_bound": bound is None or h["median"] <= b["median"] * (1.0 + bound),
+        "unresolved": bound is not None and b["q3"] - b["q1"] > bound * b["median"] and max(head) >= min(base),
     }
 
 

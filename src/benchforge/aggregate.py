@@ -47,6 +47,11 @@ class BenchResult(_BenchResultFields):
             raise AggregateError(f"{bench}: perf must be >= 0")
         return super().__new__(cls, bench, weight, perf, success_rate)
 
+    # Built through __new__, so _replace runs the constructor's checks too.
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
 
 class SuiteScore(NamedTuple):
     """The global score, each weighted benchmark's term of its log, and their total weight."""

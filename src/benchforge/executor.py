@@ -4,9 +4,12 @@ Benchmarks execute sequentially in suite order so results stay
 uncontaminated; the processes of one benchmark run concurrently across
 the declared device pool. Every child gets a dedicated metric channel
 (a pipe named via BENCHFORGE_METRICS_FD); stderr passes through
-untouched. One select loop per benchmark, ``supervise_all``, in the
-calling thread, reads every child's pipe and watches each child's exit and
-timeout, then kills that child's whole process group.
+untouched. One select loop, ``supervise_all``, in the calling thread,
+follows the children of all three phases: a run's children are one
+benchmark's processes, and each pending install or prepare command is
+the one child of its own call, whose metric stream is not kept. The loop
+reads every child's pipe and watches each child's exit and timeout, then
+kills that child's whole process group and reaps the child.
 
 Run layout: ``<base>/runs/<stamp>/<bench>/<rank>.jsonl`` plus
 ``meta.json``, ``suite.yaml``, per-benchmark ``outcomes.json`` and, next
@@ -93,6 +96,7 @@ class ProcessPlan(NamedTuple):
     timeout_s: float
     obs_min: int
     gang_id: str | None = None
+    cwd: Path | None = None  # None: the caller's directory
 
 
 class ProcessOutcome(NamedTuple):
@@ -310,25 +314,6 @@ def log_from_sidecar(data: bytes, sha256: str, size: int) -> ObservationLog | No
     return log
 
 
-def _kill_group(proc):
-    """SIGKILL the whole process group of the child ``proc`` (a Popen), then reap the child.
-
-    The child is reaped by ``os.wait4``, which also gives its resource
-    usage; ``proc.returncode`` is set, so ``Popen`` never waits for it
-    again. Returns that usage.
-    """
-    import signal
-
-    # The unreaped child pins its pgid, so this kills only its group.
-    try:
-        os.killpg(proc.pid, signal.SIGKILL)
-    except OSError:
-        proc.kill()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return usage
-
-
 class _Child:
     """A child of the supervision loop, launched on construction; the data of both its selector keys."""
 
@@ -347,7 +332,9 @@ class _Child:
         env = {**os.environ, **plan.env, "BENCHFORGE_METRICS_FD": str(write_fd)}
         self.started = time.monotonic()
         try:
-            self.proc = subprocess.Popen(plan.command, env=env, pass_fds=(write_fd,), start_new_session=True)
+            self.proc = subprocess.Popen(
+                plan.command, cwd=plan.cwd, env=env, pass_fds=(write_fd,), start_new_session=True
+            )
         except OSError as exc:
             os.close(self.read_fd)
             self.capture.close()
@@ -372,9 +359,18 @@ class _Child:
         self.fold.feed(chunk)
 
     def reap(self, sel) -> None:
-        usage = _kill_group(self.proc)
+        """SIGKILL the child's whole process group, then reap the child by ``os.wait4`` for its usage."""
+        import signal
+
+        # The unreaped child pins its pgid, so this kills only its group.
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except OSError:
+            self.proc.kill()
+        _, status, usage = os.wait4(self.proc.pid, 0)
         self.duration = time.monotonic() - self.started
-        self.exit_code = self.proc.returncode
+        # With returncode set, Popen never waits for the child again.
+        self.exit_code = self.proc.returncode = os.waitstatus_to_exitcode(status)
         self.cpu_s, self.maxrss_kb = usage.ru_utime + usage.ru_stime, usage.ru_maxrss
         sel.unregister(self.pidfd)
         self.deadline = time.monotonic() + DRAIN_S
@@ -445,7 +441,7 @@ def supervise_all(plans: list[ProcessPlan], out_dir: Path | str) -> list[Process
             for child in children:
                 if child.log is None:  # still followed when an exception ended the loop
                     if child.exit_code is None:
-                        _kill_group(child.proc)
+                        child.reap(sel)
                     child.close()
 
     # A gang succeeds or fails as one unit; any failed rank fails the rest.
@@ -470,44 +466,17 @@ _PHASES = {
 }
 
 
-def _stamp_token(command: str) -> str:
-    return hashlib.sha256(command.encode("utf-8")).hexdigest()
-
-
 def _pending(bench: BenchmarkSpec, base_dir: Path, phase: str) -> bool:
     """Whether ``phase`` has a command for ``bench`` whose stamp is missing or stale."""
     subdir, stamp_name, field = _PHASES[phase]
     command = getattr(bench, field)
     stamp = base_dir / subdir / bench.name / stamp_name
-    return bool(command) and not (stamp.exists() and stamp.read_text() == _stamp_token(command))
-
-
-def _run_setup(argv: tuple[str, ...], cwd: Path, env: dict[str, str], timeout_s: float) -> bool:
-    """Run a setup command in its own session; whether it exited 0 within ``timeout_s``.
-
-    The command's whole process group is killed once it exits or its time
-    is up, so no background process it started outlives it.
-    """
-    import select
-    import subprocess
-
-    try:
-        proc = subprocess.Popen(argv, cwd=cwd, env=env, start_new_session=True)
-    except OSError:
-        return False
-    deadline = time.monotonic() + timeout_s
-    pidfd = os.pidfd_open(proc.pid)
-    try:
-        while (left := deadline - time.monotonic()) > 0:
-            if select.select([pidfd], [], [], min(left, _RECHECK_S))[0]:
-                break
-    finally:
-        os.close(pidfd)
-        _kill_group(proc)
-    return proc.returncode == 0
+    return bool(command) and not (stamp.exists() and stamp.read_text() == text_sha256(command))
 
 
 def _setup_phase(cfg: SuiteConfig, base_dir: Path, phase: str) -> dict[str, str]:
+    import tempfile
+
     # Each entry's own rules, before any directory exists; the suite-wide total-weight rule
     # is not one of them, so a selection of unweighted benchmarks can still be set up.
     violations = [v for bench in cfg.benchmarks for v in benchmark_violations(bench)]
@@ -531,8 +500,11 @@ def _setup_phase(cfg: SuiteConfig, base_dir: Path, phase: str) -> dict[str, str]
         bench_dir = base_dir / subdir / bench.name
         bench_dir.mkdir(parents=True, exist_ok=True)
         argv = resolve_command(command, base_dir, bench_dir)
-        if _run_setup(argv, bench_dir, {**os.environ, **bench.env}, bench.timeout_s):
-            (bench_dir / stamp_name).write_text(_stamp_token(command))
+        plan = ProcessPlan(0, "", bench.env, argv, bench.timeout_s, 0, cwd=bench_dir)
+        with tempfile.TemporaryDirectory() as out_dir:  # the command's metric stream is not kept
+            (outcome,) = supervise_all([plan], out_dir)
+        if outcome.exit_code == 0:
+            (bench_dir / stamp_name).write_text(text_sha256(command))
             statuses[bench.name] = "done"
         else:
             statuses[bench.name] = "failed"
@@ -542,10 +514,13 @@ def _setup_phase(cfg: SuiteConfig, base_dir: Path, phase: str) -> dict[str, str]
 def install(cfg: SuiteConfig, base_dir: Path | str) -> dict[str, str]:
     """Run each enabled benchmark's install command in its own env dir.
 
-    Idempotent: a matching stamp file skips the command entirely. One
-    failure never blocks the other benchmarks. An entry that breaks one of
-    its ``benchmark_violations`` raises SuiteError before any directory
-    exists; ``prepare`` does the same.
+    The command is the one child of a ``supervise_all`` call, so its whole
+    process group is killed once it exits or its ``timeout_s`` passes; it
+    is ``done`` when it exited 0, else ``failed``. Idempotent: a matching
+    stamp file skips the command entirely. One failure never blocks the
+    other benchmarks. An entry that breaks one of its
+    ``benchmark_violations`` raises SuiteError before any directory exists;
+    ``prepare`` does the same.
     """
     return _setup_phase(cfg, Path(base_dir), "install")
 
@@ -553,14 +528,6 @@ def install(cfg: SuiteConfig, base_dir: Path | str) -> dict[str, str]:
 def prepare(cfg: SuiteConfig, base_dir: Path | str) -> dict[str, str]:
     """Run each enabled benchmark's prepare command in its data dir."""
     return _setup_phase(cfg, Path(base_dir), "prepare")
-
-
-def _setup_complete(bench: BenchmarkSpec, base_dir: Path) -> str | None:
-    """Why ``bench`` cannot run yet: its first pending phase, or None."""
-    phase = next((p for p in _PHASES if _pending(bench, base_dir, p)), None)
-    if phase is None:
-        return None
-    return f"benchmark {bench.name!r}: {phase} not completed (run `benchforge {phase}`)"
 
 
 def run(
@@ -590,9 +557,9 @@ def run(
     base_dir = Path(base_dir)
     if check_setup:
         for bench in cfg.enabled_benchmarks():
-            problem = _setup_complete(bench, base_dir)
-            if problem:
-                raise ExecutorError(problem)
+            for phase in _PHASES:
+                if _pending(bench, base_dir, phase):
+                    raise ExecutorError(f"benchmark {bench.name!r}: {phase} not completed (run `benchforge {phase}`)")
 
     run_dir = _new_run_dir(base_dir)
     rendered = render_suite(cfg)
@@ -679,8 +646,8 @@ def load_run(run_dir: Path | str) -> LoadedRun:
     Each process's log comes from its ``<rank>.fold`` sidecar when that
     holds the fold of the stream as it now is, and otherwise from
     ``<rank>.jsonl``, read in ``CHUNK_BYTES`` chunks and folded by one
-    ``LogFold`` as it is decoded. A stream that exists but cannot be read
-    raises ``OSError`` rather than yielding a shorter log. Anything else
+    ``LogFold`` as it is decoded. A stream that is missing or cannot be
+    read raises ``OSError`` rather than yielding a shorter log. Anything else
     that would fail later or fold into a different score raises
     ``ExecutorError``; docs/protocol.md, "Reading a run directory", lists it.
     """
@@ -719,6 +686,9 @@ def load_run(run_dir: Path | str) -> LoadedRun:
                 raise ExecutorError(f"{outcomes_path}: row {i} is not classified as one of {', '.join(CLASSES)}")
             log = _load_log(bench_dir / f"{i}.jsonl")
             outcomes.append(ProcessOutcome(*map(row.get, _ROW_FIELDS), log))
+        # Ranks run from 0, so a stream past the last row means a row was dropped.
+        if (bench_dir / f"{len(rows)}.jsonl").exists():
+            raise ExecutorError(f"{outcomes_path}: {len(rows)}.jsonl has no row")
         # report reads no phase timing, so none is loaded.
         records[bench.name] = RunRecord(bench.name, outcomes, {}, payload.get("error"))
     return LoadedRun(meta=meta, suite=suite, records=records)
@@ -738,21 +708,21 @@ def _json_object(path: Path) -> dict:
 def _load_log(stream: Path) -> ObservationLog:
     """One process's log: its trusted sidecar, else the fold of its stream."""
     fold = LogFold()
-    if stream.exists():
-        with open(stream, "rb") as f:
-            try:
-                sidecar = stream.with_suffix(".fold").read_bytes()
-            except OSError:  # none, or unreadable: the stream alone is the record
-                sidecar = None
-            if sidecar is not None:
-                digest, size = hashlib.sha256(), 0
-                while chunk := f.read(CHUNK_BYTES):
-                    digest.update(chunk)
-                    size += len(chunk)
-                log = log_from_sidecar(sidecar, digest.hexdigest(), size)
-                if log is not None:
-                    return log
-                f.seek(0)
+    # run writes a stream for every row, so a missing one raises FileNotFoundError.
+    with open(stream, "rb") as f:
+        try:
+            sidecar = stream.with_suffix(".fold").read_bytes()
+        except OSError:  # none, or unreadable: the stream alone is the record
+            sidecar = None
+        if sidecar is not None:
+            digest, size = hashlib.sha256(), 0
             while chunk := f.read(CHUNK_BYTES):
-                fold.feed(chunk)
+                digest.update(chunk)
+                size += len(chunk)
+            log = log_from_sidecar(sidecar, digest.hexdigest(), size)
+            if log is not None:
+                return log
+            f.seek(0)
+        while chunk := f.read(CHUNK_BYTES):
+            fold.feed(chunk)
     return fold.finish()

@@ -64,6 +64,11 @@ class MetricEvent(_MetricEventFields):
             raise ProtocolError(f"unknown event kind {event!r}")
         return super().__new__(cls, event, time, task, {} if data is None else data)
 
+    # Built through __new__, so _replace runs the constructor's checks too.
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
 
 class Rejection(NamedTuple):
     """A line the decoder could not accept; ingestion continues past it."""

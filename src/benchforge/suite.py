@@ -92,6 +92,11 @@ class BenchmarkSpec(_BenchmarkSpecFields):
         spec = super().__new__(cls, *args, **kwargs)
         return spec if spec.env is not None else spec._replace(env={})
 
+    # Built through __new__, so _replace runs the constructor's checks too.
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
 
 class SuiteConfig(NamedTuple):
     """A parsed suite. Immutable after construction; safe to share."""
@@ -452,7 +457,10 @@ def render_suite(cfg: SuiteConfig) -> str:
 
 
 def text_sha256(rendered: str) -> str:
-    """The suite hash of ``render_suite`` output, for callers that already rendered it."""
+    """The suite hash of ``render_suite`` output, for callers that already rendered it.
+
+    ``executor`` also stamps a completed setup command with the hash of its text.
+    """
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
 
 

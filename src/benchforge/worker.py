@@ -46,6 +46,11 @@ class TimerConfig(_TimerConfigFields):
             raise ValueError("epochs_max must be positive")
         return cfg
 
+    # Built through __new__, so _replace runs the constructor's checks too.
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
 
 class _WorkloadSpecFields(NamedTuple):
     kind: str = "constant"
@@ -88,6 +93,11 @@ class WorkloadSpec(_WorkloadSpecFields):
         if not 0.0 <= spec.sleep_per_batch < math.inf:
             raise ValueError("sleep_per_batch must be >= 0 and finite")
         return spec
+
+    # Built through __new__, so _replace runs the constructor's checks too.
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 class SyntheticWorkload:

@@ -49,6 +49,22 @@ def test_layer_that_is_zero_at_base_has_no_ratio():
     json.dumps(moved, allow_nan=False)
 
 
+@pytest.mark.parametrize(
+    "base, head, unresolved",
+    [
+        # The base's quartiles span 3.0 around a median of 3.0, far past a 0.2 bound.
+        ([1.0, 2.0, 3.0, 4.0, 5.0], [1.1, 2.1, 3.1, 4.1, 5.1], True),
+        # As wide, but every head run is below every base run.
+        ([1.0, 2.0, 3.0, 4.0, 5.0], [0.1, 0.2, 0.3, 0.4, 0.5], False),
+        # A tight base resolves even a loss.
+        ([3.0, 3.01, 3.02, 3.0, 3.01], [3.5, 3.6, 3.5, 3.6, 3.5], False),
+    ],
+    ids=["wide", "wide-head-wins-every-pair", "tight"],
+)
+def test_a_base_wider_than_the_bound_is_unresolved(base, head, unresolved):
+    assert compare.compare_metric(base, head, 0.2)["unresolved"] is unresolved
+
+
 def _tree_with_bytecode(root: Path) -> Path:
     (root / "src" / "pkg" / "__pycache__").mkdir(parents=True)
     (root / "src" / "pkg" / "__init__.py").write_text("")

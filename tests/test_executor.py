@@ -362,6 +362,17 @@ class TestInstallPrepare:
         assert prepare(changed, tmp_path) == {"p": "blocked: install incomplete"}
         assert prepare(cfg, tmp_path) == {"p": "done"}
 
+    def test_missing_binary_fails_without_a_stamp(self, tmp_path):
+        cfg = setup_suite(BenchmarkSpec(name="ghost", run_cmd="w", install_cmd="benchforge-no-such-binary"))
+        assert install(cfg, tmp_path) == {"ghost": "failed"}
+        assert not (tmp_path / "envs" / "ghost" / ".installed").exists()
+
+    def test_done_install_leaves_only_its_stamp(self, tmp_path):
+        # The command's metric stream and its sidecar are not kept in the env dir.
+        cfg = setup_suite(BenchmarkSpec(name="ok", run_cmd="w", install_cmd="true"))
+        assert install(cfg, tmp_path) == {"ok": "done"}
+        assert [p.name for p in (tmp_path / "envs" / "ok").iterdir()] == [".installed"]
+
 
 def _marked(mark):
     """Pids of the live processes whose argv carries ``mark``, from a read-only scan of /proc."""

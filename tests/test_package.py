@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -186,6 +187,14 @@ FROZEN = [
     (ReportDocument, "metadata", lambda: ReportDocument(["s"], None, [], {"s": GlobalCell(2.0, 1.0)}, {"k": 1})),
 ]
 FROZEN_IDS = [cls.__name__ for cls, _, _ in FROZEN]
+# Each checked record, a field, and a value its constructor refuses or fills in.
+REPLACED = [
+    (WorkloadSpec(), "batch_size", 0),
+    (TimerConfig(), "obs_min", 0),
+    (BenchResult("b", 1.0, 2.0, 1.0), "perf", -1.0),
+    (MetricEvent("start", 0.0, "t"), "event", "bogus"),
+    (BenchmarkSpec(name="b"), "env", None),
+]
 
 
 class TestValueTypes:
@@ -203,6 +212,19 @@ class TestValueTypes:
         assert a is not b
         assert a == b and not a != b
         assert repr(a) == repr(b) and repr(a).startswith(f"{cls.__name__}(")
+
+    @pytest.mark.parametrize(
+        "record, field, value", REPLACED, ids=[f"{type(r).__name__}.{f}" for r, f, _ in REPLACED]
+    )
+    def test_replace_gives_what_the_constructor_gives(self, record, field, value):
+        fields = {**record._asdict(), field: value}
+        try:
+            built = type(record)(**fields)
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                record._replace(**{field: value})
+        else:
+            assert record._replace(**{field: value}) == built
 
     def test_unequal_values_differ(self):
         assert BenchResult("b", 1.0, 2.0, 1.0) != BenchResult("b", 1.0, 2.0, 0.5)

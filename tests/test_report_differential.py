@@ -105,7 +105,7 @@ def _stream(draw):
 
 _process = st.fixed_dictionaries(
     {
-        "stream": st.none() | _stream(),  # None: the process never started, so it left no stream
+        "stream": st.none() | _stream(),  # None: the process never started, so its stream is empty
         "classified": st.sampled_from(["success", "success", "error", "timeout"]),
         "sidecar": st.sampled_from(["present", "absent", "stale"]),
     }
@@ -166,7 +166,9 @@ def write_run(run_dir: Path, benches: list[dict], order: list[int]) -> None:
         payload = {"bench": f"b{i}", "error": error, "phase_durations": {"run": 1.0}, "outcomes": rows}
         (bench_dir / "outcomes.json").write_text(json.dumps(payload), encoding="utf-8")
         for rank, proc in enumerate(bench["processes"]):
-            if proc["stream"] is not None:
+            if proc["stream"] is None:  # as run leaves it: an empty stream and no sidecar
+                (bench_dir / f"{rank}.jsonl").touch()
+            else:
                 _write_stream(bench_dir, rank, proc["stream"][0], proc["sidecar"])
 
 

@@ -59,6 +59,15 @@ def _misspell_class(rows):
     rows[0]["classified"] = "sucess"
 
 
+def _drop_last_row(rows):
+    rows.pop()
+
+
+def _delete_stream(path):
+    path.unlink()
+    path.with_suffix(".fold").unlink()
+
+
 def _reweigh(path):
     text = path.read_text()
     assert text.count("weight: 1.0\n") == 1
@@ -82,6 +91,8 @@ PROBES = {
     "system-not-text": ("meta.json", _edit_json(lambda meta: meta.update(system=[1]))),
     "pool-is-nan": ("meta.json", _edit_json(lambda meta: meta.update(pool=float("nan")))),
     "suite-not-utf8": ("suite.yaml", _suite_not_utf8),
+    "stream-deleted": ("b0/1.jsonl", _delete_stream),
+    "last-row-dropped": ("b1/outcomes.json", _edit_row(_drop_last_row)),
 }
 
 
