@@ -64,32 +64,46 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def clean_env() -> dict[str, str]:
+    """The caller's environment without ``PYTHONPATH`` and ``PYTHONPYCACHEPREFIX``."""
+    return {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONPYCACHEPREFIX")}
+
+
+def run_in_session(argv: list[str], cwd: Path, env: dict[str, str]) -> tuple[int, str, str]:
+    """Run ``argv`` in its own session to its end; return its exit code, stdout and stderr.
+
+    On any exception while it runs (SIGTERM's SystemExit under ``_stop``,
+    or Ctrl-C) its whole process group is killed and reaped first.
+    """
+    proc = subprocess.Popen(
+        argv, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate()
+    except BaseException:  # end the run before its copy of the tree is removed
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # the group is already gone
+            pass
+        proc.wait()
+        raise
+    return proc.returncode, stdout, stderr
+
+
 def bench_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     argv = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
-    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONPYCACHEPREFIX")}
     # A fresh copy of the tree per run, so neither tree's __pycache__ is read.
     with tempfile.TemporaryDirectory(prefix="tree-") as tmp:
         copy = Path(tmp) / "tree"
         shutil.copytree(tree, copy, ignore=TREE_COPY_IGNORE)
-        proc = subprocess.Popen(
-            argv, cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            start_new_session=True,
-        )
-        try:
-            stdout, stderr = proc.communicate()
-        except BaseException:  # SIGTERM's SystemExit, or Ctrl-C: end the run before its copy is removed
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:  # the group is already gone
-                pass
-            proc.wait()
-            raise
+        code, stdout, stderr = run_in_session(argv, copy, clean_env())
     lines = stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise SystemExit(f"{tree}: {' '.join(argv[1:])} exited {proc.returncode}\n{stderr}")
+    if code != 0 or not lines:
+        raise SystemExit(f"{tree}: {' '.join(argv[1:])} exited {code}\n{stderr}")
     result = json.loads(lines[-1])
     result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
     return result

@@ -8,8 +8,8 @@ untouched. One select loop, ``supervise_all``, in the calling thread,
 follows the children of all three phases: a run's children are one
 benchmark's processes, and each pending install or prepare command is
 the one child of its own call, whose metric stream is not kept. The loop
-reads every child's pipe and watches each child's exit and timeout, then
-kills that child's whole process group and reaps the child.
+reads every child's pipe and watches each child's exit and timeout; every
+kill goes through ``_Child.stop``, which kills and reaps the child's group.
 
 Run layout: ``<base>/runs/<stamp>/<bench>/<rank>.jsonl`` plus
 ``meta.json``, ``suite.yaml``, per-benchmark ``outcomes.json`` and, next
@@ -113,6 +113,7 @@ class ProcessOutcome(NamedTuple):
     classified: str  # one of CLASSES
     # The verdict's reason: the fold's error, "insufficient observations", "gang member failed" or the spawn's.
     message: str
+    stopped_by: str | None  # why the harness ended the child early: "deadline"; None when it exited on its own
     log: ObservationLog  # the fold of the child's stream, which no verdict edits
 
 
@@ -324,9 +325,8 @@ class _Child:
         self.plan, self.stream = plan, out_dir / f"{plan.rank}.jsonl"
         self.fold = LogFold()
         self.digest = hashlib.sha256()
-        self.exit_code = self.log = self.cpu_s = self.maxrss_kb = None
-        # eof: the pipe hit EOF; exited: the pidfd fired, so the child ended before its deadline.
-        self.duration, self.eof, self.exited = 0.0, False, False
+        self.exit_code = self.log = self.cpu_s = self.maxrss_kb = self.stopped_by = self.pidfd = None
+        self.duration, self.eof = 0.0, False  # eof: the pipe hit EOF
         self.capture = open(self.stream, "wb")
         self.read_fd, write_fd = os.pipe()
         env = {**os.environ, **plan.env, "BENCHFORGE_METRICS_FD": str(write_fd)}
@@ -343,7 +343,14 @@ class _Child:
             return
         finally:
             os.close(write_fd)
-        self.pidfd = os.pidfd_open(self.proc.pid)
+        try:
+            self.pidfd = os.pidfd_open(self.proc.pid)
+        except BaseException:
+            # supervise_all never follows a child whose construction raised, so it is stopped here.
+            self.stop(sel, "spawn")
+            os.close(self.read_fd)
+            self.capture.close()
+            raise
         # The child's deadline; once it is reaped, the end of its drain.
         self.deadline = self.started + plan.timeout_s
         sel.register(self.read_fd, selectors.EVENT_READ, self)
@@ -358,21 +365,21 @@ class _Child:
         self.digest.update(chunk)
         self.fold.feed(chunk)
 
-    def reap(self, sel) -> None:
-        """SIGKILL the child's whole process group, then reap the child by ``os.wait4`` for its usage."""
+    def stop(self, sel, reason: str | None) -> None:
+        """Record ``reason`` as ``stopped_by`` (None: the child exited on its own), SIGKILL the child's
+        whole process group, reap the child by ``os.wait4`` for its usage, and start the drain."""
         import signal
 
-        # The unreaped child pins its pgid, so this kills only its group.
-        try:
-            os.killpg(self.proc.pid, signal.SIGKILL)
-        except OSError:
-            self.proc.kill()
+        self.stopped_by = reason
+        # A session leader cannot leave its group, and unreaped it pins its pgid: this kills only its group.
+        os.killpg(self.proc.pid, signal.SIGKILL)
         _, status, usage = os.wait4(self.proc.pid, 0)
         self.duration = time.monotonic() - self.started
         # With returncode set, Popen never waits for the child again.
         self.exit_code = self.proc.returncode = os.waitstatus_to_exitcode(status)
         self.cpu_s, self.maxrss_kb = usage.ru_utime + usage.ru_stime, usage.ru_maxrss
-        sel.unregister(self.pidfd)
+        if self.pidfd is not None:  # None when the spawn failed before the child was followed
+            sel.unregister(self.pidfd)
         self.deadline = time.monotonic() + DRAIN_S
 
     def finish(self, sel) -> None:
@@ -383,7 +390,7 @@ class _Child:
         sidecar = fold_sidecar(log, self.digest.hexdigest(), self.capture.tell())
         self.stream.with_suffix(".fold").write_bytes(sidecar)
         self.message = log.message
-        if not self.exited:
+        if self.stopped_by == "deadline":
             self.classified = "timeout"
         elif self.exit_code == 0 and log.terminal == "success" and len(log.work) >= self.plan.obs_min:
             self.classified = "success"
@@ -406,15 +413,17 @@ def supervise_all(plans: list[ProcessPlan], out_dir: Path | str) -> list[Process
     One select loop in the calling thread reads every child's metric pipe
     (captured verbatim to ``out_dir/<rank>.jsonl`` and folded as it
     arrives) and watches a pidfd of each child until it exits or its
-    timeout_s passes. Then it kills that child's whole process group, reaps
-    the child, and drains its pipe for at most DRAIN_S seconds; an
-    exception kills and reaps every child still running. Each fold goes to
+    timeout_s passes. ``_Child.stop`` then kills the child's whole process
+    group, reaps it, and drains its pipe for at most DRAIN_S seconds. Every
+    kill goes through it with a reason: None when the child exited,
+    ``deadline``, ``exception`` when an exception ends the loop, or ``spawn``
+    when a spawn fails after the child started. Each fold goes to
     ``out_dir/<rank>.fold`` and into its outcome as the stream gave it; the
     verdict is the outcome's ``classified`` and ``message``. Classification:
     success iff the child exited 0, its log ended in success, and it
-    gathered at least obs_min observations; a child still running at
-    timeout_s is a timeout. A gang succeeds or fails as one unit, so a
-    failed rank turns its gang's successes into errors.
+    gathered at least obs_min observations; a child stopped by its deadline
+    is a timeout. A gang succeeds or fails as one unit, so a failed rank
+    turns its gang's successes into errors.
     """
     import selectors
 
@@ -429,11 +438,11 @@ def supervise_all(plans: list[ProcessPlan], out_dir: Path | str) -> list[Process
                 for key, _ in sel.select(min(wait, _RECHECK_S)):
                     if key.fd == key.data.read_fd:
                         key.data.read(sel)
-                    else:
-                        key.data.exited = True
+                    else:  # the pidfd fired: the child exited on its own
+                        key.data.stop(sel, None)
                 for child in live:
-                    if child.exit_code is None and (child.exited or time.monotonic() >= child.deadline):
-                        child.reap(sel)
+                    if child.exit_code is None and time.monotonic() >= child.deadline:
+                        child.stop(sel, "deadline")
                     # A pipe that hit EOF first is finished in the pass that reaps its child.
                     if child.exit_code is not None and (child.eof or time.monotonic() >= child.deadline):
                         child.finish(sel)
@@ -441,7 +450,7 @@ def supervise_all(plans: list[ProcessPlan], out_dir: Path | str) -> list[Process
             for child in children:
                 if child.log is None:  # still followed when an exception ended the loop
                     if child.exit_code is None:
-                        child.reap(sel)
+                        child.stop(sel, "exception")
                     child.close()
 
     # A gang succeeds or fails as one unit; any failed rank fails the rest.
@@ -452,7 +461,7 @@ def supervise_all(plans: list[ProcessPlan], out_dir: Path | str) -> list[Process
     return [
         ProcessOutcome(
             c.plan.rank, [c.plan.device], c.plan.gang_id, c.exit_code, c.duration, c.cpu_s, c.maxrss_kb,
-            c.classified, c.message, c.log,
+            c.classified, c.message, c.stopped_by, c.log,
         )
         for c in children
     ]

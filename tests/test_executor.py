@@ -1,5 +1,6 @@
 """Process planning, supervision, and four-phase execution tests."""
 
+import errno
 import hashlib
 import json
 import math
@@ -730,6 +731,78 @@ class TestChildAccounting:
         assert type(meta["harness_cpu_s"]) is float and meta["harness_cpu_s"] > 0
         assert type(meta["harness_maxrss_kb"]) is int and meta["harness_maxrss_kb"] > 0
         assert load_run(run_dir).meta == meta
+
+
+class TestStoppedBy:
+    """A row's ``stopped_by`` names why the harness ended the child early, and is null otherwise."""
+
+    def test_only_the_timeout_reads_deadline(self, tmp_path):
+        thin = BenchmarkSpec(name="thin", run_cmd=f"{WORKER_CMD} --obs-min 1 --obs-max 10 --seed 0", obs_min=30)
+        gang = BenchmarkSpec(
+            name="gang",
+            scale="node-devices",
+            run_cmd=f"{WORKER_CMD} --obs-min 5 --obs-max 10 --seed 0 --kind crashing --crash-after {{rank}}0",
+            obs_min=5,
+        )
+        cfg = setup_suite(*usage_suite().benchmarks, thin, gang)
+        run_dir, records = run(cfg, DevicePool(devices=("d0", "d1")), tmp_path, check_setup=False)
+        seen = set()
+        for record in records:
+            rows = json.loads((run_dir / record.bench / "outcomes.json").read_text())["outcomes"]
+            for outcome, row in zip(record.outcomes, rows, strict=True):
+                want = "deadline" if outcome.classified == "timeout" else None
+                assert (outcome.stopped_by, row["stopped_by"]) == (want, want), record.bench
+                seen.add((record.bench, outcome.classified))
+        assert seen == {
+            ("ok", "success"), ("boom", "error"), ("stall", "timeout"), ("ghost", "error"),
+            ("thin", "error"), ("gang", "error"),
+        }
+        # The key follows message, as the field does.
+        assert list(rows[0])[list(rows[0]).index("message") + 1] == "stopped_by"
+
+    def test_a_row_without_the_key_reads_back_none(self, tmp_path):
+        from test_report_differential import write_run
+
+        process = {"stream": None, "classified": "success", "sidecar": "absent"}
+        bench = {"scale": "single-device", "weight": 1.0, "enabled": True, "obs_min": 1, "processes": [process] * 2}
+        write_run(tmp_path / "run", [bench], [0])
+        (row, _) = json.loads((tmp_path / "run" / "b0" / "outcomes.json").read_text())["outcomes"]
+        assert "stopped_by" not in row
+        outcomes = load_run(tmp_path / "run").records["b0"].outcomes
+        assert [o.stopped_by for o in outcomes] == [None, None]
+
+
+class TestSpawnFailureAfterPopen:
+    def test_the_started_children_are_stopped_and_nothing_leaks(self, tmp_path, monkeypatch):
+        # The second of three children fails to get its pidfd, as it would with every fd in use.
+        mark = f"benchforge-spawn-mark-{os.getpid()}-{tmp_path.name}"
+        bench = BenchmarkSpec(name="s", run_cmd=f"{sys.executable} -c 'import time; time.sleep(5)' {mark}")
+        plans = plan_launches(bench, DevicePool(devices=("d0", "d1", "d2")), tmp_path)
+        opened = []
+
+        def pidfd_open(pid, *args, _real=os.pidfd_open):
+            opened.append(pid)
+            if len(opened) == 2:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return _real(pid, *args)
+
+        monkeypatch.setattr(os, "pidfd_open", pidfd_open)
+        fds = len(os.listdir("/proc/self/fd"))
+        started = time.monotonic()
+        try:
+            with pytest.raises(OSError) as err:
+                supervise_all(plans, tmp_path / "out")
+            assert err.value.errno == errno.EMFILE and len(opened) == 2
+            assert time.monotonic() - started < 1.0
+            # SIGKILL is delivered at once, but a process takes a moment to exit.
+            deadline = time.monotonic() + 1.0
+            while _marked(mark) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert _marked(mark) == []
+            assert len(os.listdir("/proc/self/fd")) == fds
+        finally:
+            for pid in _marked(mark):
+                os.kill(pid, signal.SIGKILL)
 
 
 def _fold_events(events):

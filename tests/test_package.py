@@ -179,7 +179,7 @@ FROZEN = [
     (SuiteScore, "score", lambda: SuiteScore(2.0, {"b": 1.0}, 1.0)),
     (CoverageReport, "deviation", lambda: CoverageReport({"domains": {"NLP": 1.0}}, {}, 1.0)),
     (ClassMetrics, "recall", lambda: ClassMetrics(("A",), {"A": 50.0}, {"A": None})),
-    (ProcessOutcome, "classified", lambda: ProcessOutcome(0, ["d0"], None, 0, 1.0, 0.5, 1024, "success", "", LOG)),
+    (ProcessOutcome, "classified", lambda: ProcessOutcome(0, ["d0"], None, 0, 1.0, 0.5, 1024, "success", "", None, LOG)),
     (RunRecord, "outcomes", lambda: RunRecord("b", [], {"run": 1.0}, "no plan")),
     (Cell, "perf", lambda: Cell(2.0, 1.0, 0.5)),
     (ReportRow, "cells", lambda: ReportRow("b", 1.0, {"s": Cell(2.0, 1.0)})),
