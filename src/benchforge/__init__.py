@@ -4,6 +4,18 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+
+class _Checked:
+    """First base of a NamedTuple record whose ``__new__`` checks its fields."""
+
+    __slots__ = ()
+
+    # Built through __new__, so _replace runs the constructor's checks too.
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
 # Submodules load on first attribute access (PEP 562), so `-m benchforge.worker` loads only protocol.
 _EXPORTS = {
     "aggregate": ("BenchResult", "SuiteScore", "fold_bench", "fold_outcomes", "fold_process", "suite_score"),

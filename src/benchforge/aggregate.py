@@ -16,6 +16,7 @@ import math
 from itertools import compress
 from typing import NamedTuple
 
+from . import _Checked
 from .protocol import ObservationLog
 
 
@@ -33,7 +34,7 @@ class _BenchResultFields(NamedTuple):
     success_rate: float
 
 
-class BenchResult(_BenchResultFields):
+class BenchResult(_Checked, _BenchResultFields):
     """Folded outcome of one benchmark on one system."""
 
     __slots__ = ()
@@ -46,11 +47,6 @@ class BenchResult(_BenchResultFields):
         if perf < 0:
             raise AggregateError(f"{bench}: perf must be >= 0")
         return super().__new__(cls, bench, weight, perf, success_rate)
-
-    # Built through __new__, so _replace runs the constructor's checks too.
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
 
 
 class SuiteScore(NamedTuple):

@@ -46,13 +46,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load(args)
     devices = tuple(d.strip() for d in args.devices.split(",") if d.strip())
     pool = DevicePool(devices=devices, nodes=args.nodes)
-    run_dir, records = run(
-        cfg,
-        pool,
-        Path(args.base_dir),
-        system=args.system,
-        check_setup=not args.no_setup_check,
-    )
+    run_dir, records = run(cfg, pool, Path(args.base_dir), system=args.system)
     all_ok = True
     for record in records:
         if record.error:
@@ -211,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--devices", default="d0", help="comma-separated device ids")
     p_run.add_argument("--nodes", type=int, default=1)
     p_run.add_argument("--system", default=None, help="system name recorded in meta.json")
-    p_run.add_argument("--no-setup-check", action="store_true")
 
     p_report = sub.add_parser("report", help="aggregate one or more run directories")
     p_report.add_argument("--runs", required=True, help="run directory, or several comma-separated")

@@ -345,16 +345,15 @@ class _Child:
             os.close(write_fd)
         try:
             self.pidfd = os.pidfd_open(self.proc.pid)
+            sel.register(self.read_fd, selectors.EVENT_READ, self)
+            sel.register(self.pidfd, selectors.EVENT_READ, self)
         except BaseException:
             # supervise_all never follows a child whose construction raised, so it is stopped here.
             self.stop(sel, "spawn")
-            os.close(self.read_fd)
-            self.capture.close()
+            self.close()
             raise
         # The child's deadline; once it is reaped, the end of its drain.
         self.deadline = self.started + plan.timeout_s
-        sel.register(self.read_fd, selectors.EVENT_READ, self)
-        sel.register(self.pidfd, selectors.EVENT_READ, self)
 
     def read(self, sel) -> None:
         chunk = os.read(self.read_fd, CHUNK_BYTES)
@@ -378,7 +377,7 @@ class _Child:
         # With returncode set, Popen never waits for the child again.
         self.exit_code = self.proc.returncode = os.waitstatus_to_exitcode(status)
         self.cpu_s, self.maxrss_kb = usage.ru_utime + usage.ru_stime, usage.ru_maxrss
-        if self.pidfd is not None:  # None when the spawn failed before the child was followed
+        if self.pidfd is not None and self.pidfd in sel.get_map():  # unregistered when the spawn failed
             sel.unregister(self.pidfd)
         self.deadline = time.monotonic() + DRAIN_S
 
@@ -403,7 +402,8 @@ class _Child:
 
     def close(self) -> None:
         os.close(self.read_fd)
-        os.close(self.pidfd)
+        if self.pidfd is not None:  # None when os.pidfd_open failed
+            os.close(self.pidfd)
         self.capture.close()
 
 
@@ -492,16 +492,14 @@ def _setup_phase(cfg: SuiteConfig, base_dir: Path, phase: str) -> dict[str, str]
     if violations:
         raise SuiteError(violations[0])
     subdir, stamp_name, field = _PHASES[phase]
-    earlier = list(_PHASES)[: list(_PHASES).index(phase)]
     statuses: dict[str, str] = {}
     for bench in cfg.enabled_benchmarks():
         command = getattr(bench, field)
         if not command:
             statuses[bench.name] = "not-required"
             continue
-        blocker = next((p for p in earlier if _pending(bench, base_dir, p)), None)
-        if blocker is not None:
-            statuses[bench.name] = f"blocked: {blocker} incomplete"
+        if phase == "prepare" and _pending(bench, base_dir, "install"):
+            statuses[bench.name] = "blocked: install incomplete"
             continue
         if not _pending(bench, base_dir, phase):
             statuses[bench.name] = "skipped"
@@ -540,12 +538,7 @@ def prepare(cfg: SuiteConfig, base_dir: Path | str) -> dict[str, str]:
 
 
 def run(
-    cfg: SuiteConfig,
-    pool: DevicePool,
-    base_dir: Path | str,
-    *,
-    system: str | None = None,
-    check_setup: bool = True,
+    cfg: SuiteConfig, pool: DevicePool, base_dir: Path | str, *, system: str | None = None
 ) -> tuple[Path, list[RunRecord]]:
     """Execute every enabled benchmark over the pool, sequentially.
 
@@ -554,9 +547,10 @@ def run(
     enabled benchmark, in suite order. A suite that breaks a rule of
     ``validate_suite`` (a selection of unweighted benchmarks, say) raises
     SuiteError before the run directory exists: ``load_run`` would refuse
-    the ``suite.yaml`` written there. Once every benchmark has run,
-    ``meta.json`` is written again with the calling process's own CPU
-    time and peak RSS.
+    the ``suite.yaml`` written there. An enabled benchmark whose install or
+    prepare is pending raises ExecutorError, also before the run directory
+    exists. Once every benchmark has run, ``meta.json`` is written again
+    with the calling process's own CPU time and peak RSS.
     """
     import resource
 
@@ -564,11 +558,10 @@ def run(
     if violations:
         raise SuiteError(violations[0])
     base_dir = Path(base_dir)
-    if check_setup:
-        for bench in cfg.enabled_benchmarks():
-            for phase in _PHASES:
-                if _pending(bench, base_dir, phase):
-                    raise ExecutorError(f"benchmark {bench.name!r}: {phase} not completed (run `benchforge {phase}`)")
+    for bench in cfg.enabled_benchmarks():
+        for phase in _PHASES:
+            if _pending(bench, base_dir, phase):
+                raise ExecutorError(f"benchmark {bench.name!r}: {phase} not completed (run `benchforge {phase}`)")
 
     run_dir = _new_run_dir(base_dir)
     rendered = render_suite(cfg)
@@ -634,11 +627,13 @@ def _new_run_dir(base_dir: Path) -> Path:
     stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
     candidate = base_dir / "runs" / stamp
     suffix = 0
-    while candidate.exists():
-        suffix += 1
-        candidate = base_dir / "runs" / f"{stamp}-{suffix}"
-    candidate.mkdir(parents=True)
-    return candidate
+    while True:
+        try:
+            candidate.mkdir(parents=True)  # claims the name, even against a run started this second
+            return candidate
+        except FileExistsError:
+            suffix += 1
+            candidate = base_dir / "runs" / f"{stamp}-{suffix}"
 
 
 class LoadedRun(NamedTuple):

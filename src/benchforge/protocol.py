@@ -18,6 +18,8 @@ from array import array
 from operator import truediv
 from typing import Any, BinaryIO, Iterable, Iterator, NamedTuple, Union
 
+from . import _Checked
+
 EVENT_KINDS = frozenset(
     {
         "config",
@@ -54,7 +56,7 @@ class _MetricEventFields(NamedTuple):
     data: dict[str, Any]
 
 
-class MetricEvent(_MetricEventFields):
+class MetricEvent(_Checked, _MetricEventFields):
     """One line of the metric protocol. ``data`` defaults to a fresh ``{}``."""
 
     __slots__ = ()
@@ -63,11 +65,6 @@ class MetricEvent(_MetricEventFields):
         if event not in EVENT_KINDS:
             raise ProtocolError(f"unknown event kind {event!r}")
         return super().__new__(cls, event, time, task, {} if data is None else data)
-
-    # Built through __new__, so _replace runs the constructor's checks too.
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
 
 
 class Rejection(NamedTuple):

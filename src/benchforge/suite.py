@@ -16,6 +16,8 @@ from typing import Any, NamedTuple
 
 import yaml
 
+from . import _Checked
+
 SCALE_MODES = ("single-device", "node-devices", "multi-node")
 
 # libyaml's loader is about ten times faster than the pure one; PyYAML built
@@ -83,7 +85,7 @@ class _BenchmarkSpecFields(NamedTuple):
     tags: TaxonomyTags | None = None
 
 
-class BenchmarkSpec(_BenchmarkSpecFields):
+class BenchmarkSpec(_Checked, _BenchmarkSpecFields):
     """One suite entry. ``env`` defaults to a fresh ``{}``."""
 
     __slots__ = ()
@@ -91,11 +93,6 @@ class BenchmarkSpec(_BenchmarkSpecFields):
     def __new__(cls, *args: Any, **kwargs: Any):
         spec = super().__new__(cls, *args, **kwargs)
         return spec if spec.env is not None else spec._replace(env={})
-
-    # Built through __new__, so _replace runs the constructor's checks too.
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
 
 
 class SuiteConfig(NamedTuple):

@@ -20,6 +20,7 @@ import sys
 import time as _time
 from typing import Callable, NamedTuple
 
+from . import _Checked
 from .protocol import MetricEvent, encode_event
 
 WORKLOAD_KINDS = ("constant", "jitter", "degrading", "crashing", "multiworker")
@@ -35,7 +36,7 @@ class _TimerConfigFields(NamedTuple):
     epochs_max: int = 10
 
 
-class TimerConfig(_TimerConfigFields):
+class TimerConfig(_Checked, _TimerConfigFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -45,11 +46,6 @@ class TimerConfig(_TimerConfigFields):
         if cfg.epochs_max <= 0:
             raise ValueError("epochs_max must be positive")
         return cfg
-
-    # Built through __new__, so _replace runs the constructor's checks too.
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
 
 
 class _WorkloadSpecFields(NamedTuple):
@@ -64,7 +60,7 @@ class _WorkloadSpecFields(NamedTuple):
     sleep_per_batch: float = 0.0
 
 
-class WorkloadSpec(_WorkloadSpecFields):
+class WorkloadSpec(_Checked, _WorkloadSpecFields):
     """Shape of a synthetic workload.
 
     ``jitter_frac`` doubles as the per-batch slowdown slope for the
@@ -93,11 +89,6 @@ class WorkloadSpec(_WorkloadSpecFields):
         if not 0.0 <= spec.sleep_per_batch < math.inf:
             raise ValueError("sleep_per_batch must be >= 0 and finite")
         return spec
-
-    # Built through __new__, so _replace runs the constructor's checks too.
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
 
 
 class SyntheticWorkload:

@@ -41,7 +41,6 @@ def run_once(suite_path, base, system):
             "d0,d1",
             "--system",
             system,
-            "--no-setup-check",
         ]
     )
     assert rc == 0
@@ -177,7 +176,7 @@ class TestReportCLI:
             f"  - name: huge\n    weight: 1\n    run_cmd: \"{sys.executable} {script}\"\n"
         )
         base = tmp_path / "w"
-        rc = main(["run", "--config", str(suite), "--base-dir", str(base), "--devices", "d0", "--no-setup-check"])
+        rc = main(["run", "--config", str(suite), "--base-dir", str(base), "--devices", "d0"])
         assert rc == 3
         (run_dir,) = list((base / "runs").iterdir())
         assert (run_dir / "huge" / "0.jsonl").read_text().count("1e999") == 8
@@ -213,7 +212,7 @@ class TestReportCLI:
             f"  - name: extreme\n    weight: 1\n    run_cmd: \"{sys.executable} {script}\"\n"
         )
         base = tmp_path / "w"
-        rc = main(["run", "--config", str(suite), "--base-dir", str(base), "--devices", "d0", "--no-setup-check"])
+        rc = main(["run", "--config", str(suite), "--base-dir", str(base), "--devices", "d0"])
         assert rc == 0
         (run_dir,) = list((base / "runs").iterdir())
         capsys.readouterr()
@@ -240,7 +239,7 @@ class TestReportCLI:
             f"  - name: deep\n    weight: 1\n    run_cmd: \"{sys.executable} {script}\"\n"
         )
         base = tmp_path / "w"
-        rc = main(["run", "--config", str(suite), "--base-dir", str(base), "--devices", "d0", "--no-setup-check"])
+        rc = main(["run", "--config", str(suite), "--base-dir", str(base), "--devices", "d0"])
         assert rc == 3
         (run_dir,) = list((base / "runs").iterdir())
         (row,) = json.loads((run_dir / "deep" / "outcomes.json").read_text())["outcomes"]
@@ -279,7 +278,6 @@ class TestSelectAndErrors:
                 "d0",
                 "--select",
                 "fast",
-                "--no-setup-check",
             ]
         )
         assert rc == 0
@@ -291,7 +289,7 @@ class TestSelectAndErrors:
         suite = tmp_path / "zero.yaml"
         suite.write_text(SMALL_SUITE.replace("weight: 1", "weight: 0"))
         base = tmp_path / "w"
-        rc = main(["run", "--config", str(suite), "--base-dir", str(base), "--no-setup-check"])
+        rc = main(["run", "--config", str(suite), "--base-dir", str(base)])
         assert rc == 4
         captured = capsys.readouterr()
         assert captured.err == "benchforge: suite: total weight of enabled benchmarks must be > 0\n"
@@ -304,7 +302,7 @@ class TestSelectAndErrors:
         suite.write_text(head + "weight: 0" + tail)
         base = tmp_path / "w"
         argv = ["--config", str(suite), "--base-dir", str(base), "--select", "slow"]
-        rc = main(["run", *argv, "--devices", "d0", "--no-setup-check"])
+        rc = main(["run", *argv, "--devices", "d0"])
         assert rc == 4
         captured = capsys.readouterr()
         assert captured.err == "benchforge: suite: total weight of enabled benchmarks must be > 0\n"
@@ -344,7 +342,7 @@ class TestSelectAndErrors:
         suite = tmp_path / "budget.yaml"
         suite.write_text("suite: s\nbenchmarks:\n  - {name: a, run_cmd: 'true', obs_max: 9223372036854775808}\n")
         base = tmp_path / "base"
-        assert main(["run", "--config", str(suite), "--base-dir", str(base), "--no-setup-check"]) == 4
+        assert main(["run", "--config", str(suite), "--base-dir", str(base)]) == 4
         assert capsys.readouterr().err == (
             "benchforge: benchmark 'a': obs_max must be at most 2**63 - 1, got 9223372036854775808\n"
         )
@@ -366,7 +364,6 @@ class TestSelectAndErrors:
                 str(tmp_path / "w"),
                 "--devices",
                 "d0",
-                "--no-setup-check",
             ]
         )
         assert rc == 3
@@ -378,7 +375,7 @@ class TestTemplatesAndNames:
         suite = tmp_path / "s.yaml"
         suite.write_text(f"suite: s\nbenchmarks:\n  - {{name: a, run_cmd: 'w {{{field}}}'}}\n")
         base = tmp_path / "w"
-        assert main(["run", "--config", str(suite), "--base-dir", str(base), "--no-setup-check"]) == 4
+        assert main(["run", "--config", str(suite), "--base-dir", str(base)]) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"benchforge: benchmark 'a': run_cmd: unknown placeholder {{{field}}}; allowed: ")
         assert err.count("\n") == 1
@@ -388,7 +385,7 @@ class TestTemplatesAndNames:
         suite = tmp_path / "s.yaml"
         suite.write_text("suite: s\nbenchmarks:\n  - {name: a, run_cmd: \"w 'unclosed\"}\n")
         base = tmp_path / "w"
-        assert main(["run", "--config", str(suite), "--base-dir", str(base), "--no-setup-check"]) == 4
+        assert main(["run", "--config", str(suite), "--base-dir", str(base)]) == 4
         assert capsys.readouterr().err == (
             "benchforge: benchmark 'a': run_cmd: malformed command template: No closing quotation\n"
         )
@@ -402,7 +399,7 @@ class TestTemplatesAndNames:
             "    obs_min: 5\n    obs_max: 5\n"
         )
         base = tmp_path / "w"
-        argv = ["run", "--config", str(suite), "--base-dir", str(base), "--devices", "d0,d1", "--no-setup-check"]
+        argv = ["run", "--config", str(suite), "--base-dir", str(base), "--devices", "d0,d1"]
         assert main(argv) == 0
 
     def test_base_dir_with_a_space_stays_one_word_in_prepare(self, tmp_path, capsys):
@@ -430,12 +427,45 @@ class TestTemplatesAndNames:
         base = tmp_path / "a" / "w"
         base.mkdir(parents=True)
         argv = [command, "--config", str(suite), "--base-dir", str(base)]
-        assert main(argv + (["--no-setup-check"] if command == "run" else [])) == 4
+        assert main(argv) == 4
         assert capsys.readouterr().err == (
             "benchforge: benchmark '../../escaped': name must be one path component"
             " (not empty, '.' or '..', no '/' or NUL)\n"
         )
         assert set(tmp_path.rglob("*")) == {suite, tmp_path / "a", base}
+
+
+class TestSetupGate:
+    @pytest.fixture
+    def suite(self, tmp_path):
+        suite = tmp_path / "s.yaml"
+        suite.write_text(
+            "suite: s\ndefaults: {obs_min: 5, obs_max: 5}\nbenchmarks:\n"
+            f"  - name: x\n    run_cmd: \"{WORKER_CMD} --obs-min 5 --obs-max 5\"\n"
+            "    install_cmd: 'true'\n    prepare_cmd: 'true'\n"
+        )
+        return suite
+
+    @pytest.mark.parametrize("done, pending", [((), "install"), (("install",), "prepare")])
+    def test_run_with_a_pending_phase_exits_four_and_names_it(self, tmp_path, capsys, suite, done, pending):
+        base = tmp_path / "w"
+        for phase in done:
+            assert main([phase, "--config", str(suite), "--base-dir", str(base)]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", str(suite), "--base-dir", str(base)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"benchforge: benchmark 'x': {pending} not completed (run `benchforge {pending}`)\n"
+        assert captured.out == ""
+        assert not (base / "runs").exists()
+
+    def test_there_is_no_switch_to_skip_the_check(self, tmp_path, capsys, suite):
+        base = tmp_path / "w"
+        argv = ["run", "--config", str(suite), "--base-dir", str(base), "--no-setup-check"]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(f"unrecognized arguments: {argv[-1]}\n")
+        assert not base.exists()
 
 
 class TestDesignCLI:

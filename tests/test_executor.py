@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import selectors
 import signal
 import statistics
 import sys
@@ -12,6 +13,7 @@ import tempfile
 import threading
 import time
 from array import array
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -27,6 +29,7 @@ from benchforge.executor import (
     ExecutorError,
     LogFold,
     _load_log,
+    _new_run_dir,
     fold_sidecar,
     install,
     load_run,
@@ -419,7 +422,7 @@ class TestRun:
             worker_bench(name="one"),
             worker_bench(name="two", extra="--kind jitter --jitter 0.1"),
         )
-        run_dir, records = run(cfg, POOL4, tmp_path, system="test", check_setup=False)
+        run_dir, records = run(cfg, POOL4, tmp_path, system="test")
         assert len(records) == 2
         for record in records:
             assert len(record.outcomes) == 4
@@ -446,7 +449,7 @@ class TestRun:
     )
     def test_invalid_in_code_suite_is_refused_before_the_run_dir(self, tmp_path, benches, violation):
         with pytest.raises(SuiteError) as err:
-            run(SuiteConfig("s", benches), POOL1, tmp_path, check_setup=False)
+            run(SuiteConfig("s", benches), POOL1, tmp_path)
         assert str(err.value) == violation
         assert not (tmp_path / "runs").exists()
 
@@ -455,7 +458,7 @@ class TestRun:
             worker_bench(name="boom", extra="--kind crashing --crash-after 1"),
             worker_bench(name="after"),
         )
-        _, records = run(cfg, POOL4, tmp_path, check_setup=False)
+        _, records = run(cfg, POOL4, tmp_path)
         boom, after = records
         assert all(o.classified == "error" for o in boom.outcomes)
         assert all(o.classified == "success" for o in after.outcomes)
@@ -474,7 +477,7 @@ class TestRun:
                 obs_min=5,
             ),
         )
-        _, records = run(cfg, POOL4, tmp_path, check_setup=False)
+        _, records = run(cfg, POOL4, tmp_path)
         (record,) = records
         # rank 0 crashed after 0 batches; ranks 1..3 would have survived
         # (crash_after 10,20,30 >= obs budget) but the gang fails as one.
@@ -484,12 +487,12 @@ class TestRun:
 
     def test_outcome_count_matches_planned_launches(self, tmp_path):
         cfg = setup_suite(worker_bench(name="g", scale="node-devices"))
-        _, records = run(cfg, POOL8_2N, tmp_path, check_setup=False)
+        _, records = run(cfg, POOL8_2N, tmp_path)
         assert len(records[0].outcomes) == 4  # node 0 only
 
     def test_multi_node_on_single_node_pool_is_recorded_error(self, tmp_path):
         cfg = setup_suite(worker_bench(name="mn", scale="multi-node"), worker_bench(name="ok"))
-        _, records = run(cfg, POOL4, tmp_path, check_setup=False)
+        _, records = run(cfg, POOL4, tmp_path)
         assert records[0].error is not None
         assert "insufficient nodes" in records[0].error
         assert records[0].outcomes == []
@@ -497,7 +500,7 @@ class TestRun:
 
     def test_worker_without_flags_keeps_the_suite_budget(self, tmp_path):
         budget = BenchmarkSpec(name="budget", run_cmd=f"{WORKER_CMD} --seed {{rank}}", obs_max=40)
-        run_dir, records = run(setup_suite(budget), POOL1, tmp_path, check_setup=False)
+        run_dir, records = run(setup_suite(budget), POOL1, tmp_path)
         (outcome,) = records[0].outcomes
         assert outcome.classified == "success"
         assert len(outcome.log.work) == 40
@@ -506,7 +509,7 @@ class TestRun:
 
     def test_phase_durations_are_written(self, tmp_path):
         cfg = setup_suite(worker_bench(name="ok"), worker_bench(name="mn", scale="multi-node"))
-        run_dir, records = run(cfg, POOL4, tmp_path, check_setup=False)
+        run_dir, records = run(cfg, POOL4, tmp_path)
         assert records[1].error is not None  # the plan-error path
         for record in records:
             payload = json.loads((run_dir / record.bench / "outcomes.json").read_text())
@@ -536,7 +539,7 @@ class TestRun:
 
     def test_load_run_round_trips_outcomes(self, tmp_path):
         cfg = setup_suite(worker_bench(name="keep"))
-        run_dir, records = run(cfg, POOL4, tmp_path, system="sysA", check_setup=False)
+        run_dir, records = run(cfg, POOL4, tmp_path, system="sysA")
         loaded = load_run(run_dir)
         assert loaded.meta["system"] == "sysA"
         assert loaded.suite.sha256() == cfg.sha256()
@@ -558,7 +561,7 @@ class TestRun:
             run_cmd=f'sh -c "{garbage}; exec {WORKER_CMD} --obs-min 5 --obs-max 10 --seed 0"',
             obs_min=5,
         )
-        run_dir, _ = run(setup_suite(bench), DevicePool(devices=("d0",)), tmp_path, check_setup=False)
+        run_dir, _ = run(setup_suite(bench), DevicePool(devices=("d0",)), tmp_path)
         (row,) = json.loads((run_dir / "noisy" / "outcomes.json").read_text())["outcomes"]
         assert row["classified"] == "success"
         assert row["rejected"] == 4
@@ -582,7 +585,7 @@ class TestRun:
             f'exec {WORKER_CMD} --obs-min 5 --obs-max 10 --seed 0"',
             obs_min=5,
         )
-        run_dir, _ = run(setup_suite(bench), DevicePool(devices=("d0",)), tmp_path, check_setup=False)
+        run_dir, _ = run(setup_suite(bench), DevicePool(devices=("d0",)), tmp_path)
         (row,) = json.loads((run_dir / "faulty" / "outcomes.json").read_text())["outcomes"]
         assert (row["classified"], row["faults"], row["rejected"]) == ("success", 1, 0)
         (outcome,) = load_run(run_dir).records["faulty"].outcomes
@@ -590,7 +593,7 @@ class TestRun:
 
     def test_load_run_raises_on_unreadable_stream(self, tmp_path):
         cfg = setup_suite(worker_bench(name="keep"))
-        run_dir, _ = run(cfg, POOL4, tmp_path, check_setup=False)
+        run_dir, _ = run(cfg, POOL4, tmp_path)
         stream = run_dir / "keep" / "0.jsonl"
         stream.unlink()
         stream.mkdir()
@@ -605,12 +608,12 @@ class TestOneSupervisionLoop:
             raise RuntimeError("run must not start a thread")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        _, (record,) = run(setup_suite(worker_bench(scale=scale)), POOL4, tmp_path, check_setup=False)
+        _, (record,) = run(setup_suite(worker_bench(scale=scale)), POOL4, tmp_path)
         assert [o.rank for o in record.outcomes] == [0, 1, 2, 3]
         assert all(o.classified == "success" for o in record.outcomes)
 
     def test_quick_workers_end_together(self, tmp_path):
-        _, (record,) = run(setup_suite(worker_bench()), POOL4, tmp_path, check_setup=False)
+        _, (record,) = run(setup_suite(worker_bench()), POOL4, tmp_path)
         assert all(o.classified == "success" for o in record.outcomes)
         assert record.phase_durations["run"] < max(o.duration_s for o in record.outcomes) + 0.5
 
@@ -624,7 +627,7 @@ class TestOneSupervisionLoop:
             obs_min=5,
             obs_max=5,
         )
-        _, records = run(setup_suite(plain, linger), POOL4, tmp_path, check_setup=False)
+        _, records = run(setup_suite(plain, linger), POOL4, tmp_path)
 
         def verdicts(record):
             return [(o.classified, o.exit_code, len(o.log.work), o.log.terminal) for o in record.outcomes]
@@ -660,7 +663,7 @@ class TestRunReadsBack:
             obs_min=5,
         )
         cfg = setup_suite(*usage_suite().benchmarks, thin, gang)
-        run_dir, records = run(cfg, DevicePool(devices=("d0", "d1")), tmp_path, check_setup=False)
+        run_dir, records = run(cfg, DevicePool(devices=("d0", "d1")), tmp_path)
         loaded = load_run(run_dir).records
         messages = set()
         for record in records:
@@ -681,7 +684,7 @@ class TestRunReadsBack:
 
 class TestChildAccounting:
     def test_every_row_has_the_child_usage(self, tmp_path):
-        run_dir, records = run(usage_suite(), POOL1, tmp_path, check_setup=False)
+        run_dir, records = run(usage_suite(), POOL1, tmp_path)
         assert [r.outcomes[0].classified for r in records] == ["success", "error", "timeout", "error"]
         for record in records:
             (outcome,) = record.outcomes
@@ -718,7 +721,7 @@ class TestChildAccounting:
                 return _real(pid, options)
 
             monkeypatch.setattr(os, name, spy)
-        _, records = run(usage_suite(), POOL1, tmp_path, check_setup=False)
+        _, records = run(usage_suite(), POOL1, tmp_path)
         started = [o for record in records for o in record.outcomes if o.exit_code != -1]
         assert len(started) == 3
         # Each started child is reaped once, by os.wait4; Popen never waits for it again.
@@ -726,7 +729,7 @@ class TestChildAccounting:
         assert not set(waited["wait4"]) & set(waited["waitpid"])
 
     def test_meta_records_the_harness_usage(self, tmp_path):
-        run_dir, _ = run(setup_suite(worker_bench()), POOL1, tmp_path, check_setup=False)
+        run_dir, _ = run(setup_suite(worker_bench()), POOL1, tmp_path)
         meta = json.loads((run_dir / "meta.json").read_text())
         assert type(meta["harness_cpu_s"]) is float and meta["harness_cpu_s"] > 0
         assert type(meta["harness_maxrss_kb"]) is int and meta["harness_maxrss_kb"] > 0
@@ -745,7 +748,7 @@ class TestStoppedBy:
             obs_min=5,
         )
         cfg = setup_suite(*usage_suite().benchmarks, thin, gang)
-        run_dir, records = run(cfg, DevicePool(devices=("d0", "d1")), tmp_path, check_setup=False)
+        run_dir, records = run(cfg, DevicePool(devices=("d0", "d1")), tmp_path)
         seen = set()
         for record in records:
             rows = json.loads((run_dir / record.bench / "outcomes.json").read_text())["outcomes"]
@@ -773,8 +776,12 @@ class TestStoppedBy:
 
 
 class TestSpawnFailureAfterPopen:
-    def test_the_started_children_are_stopped_and_nothing_leaks(self, tmp_path, monkeypatch):
-        # The second of three children fails to get its pidfd, as it would with every fd in use.
+    # The second of three children fails to get its pidfd, as it would with every fd in use; or the
+    # selector refuses the nth fd it is given: the first child's pipe and pidfd, then the second's.
+    @pytest.mark.parametrize(
+        "call, failing", [("pidfd_open", 2), ("register", 2), ("register", 3), ("register", 4)]
+    )
+    def test_the_started_children_are_stopped_and_nothing_leaks(self, tmp_path, monkeypatch, call, failing):
         mark = f"benchforge-spawn-mark-{os.getpid()}-{tmp_path.name}"
         bench = BenchmarkSpec(name="s", run_cmd=f"{sys.executable} -c 'import time; time.sleep(5)' {mark}")
         plans = plan_launches(bench, DevicePool(devices=("d0", "d1", "d2")), tmp_path)
@@ -782,17 +789,27 @@ class TestSpawnFailureAfterPopen:
 
         def pidfd_open(pid, *args, _real=os.pidfd_open):
             opened.append(pid)
-            if len(opened) == 2:
+            if len(opened) == failing:
                 raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
             return _real(pid, *args)
 
-        monkeypatch.setattr(os, "pidfd_open", pidfd_open)
+        class Selector(selectors.DefaultSelector):
+            def register(self, fileobj, events, data=None):
+                opened.append(fileobj)
+                if len(opened) == failing:
+                    raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+                return super().register(fileobj, events, data)
+
+        if call == "pidfd_open":
+            monkeypatch.setattr(os, "pidfd_open", pidfd_open)
+        else:
+            monkeypatch.setattr(selectors, "DefaultSelector", Selector)
         fds = len(os.listdir("/proc/self/fd"))
         started = time.monotonic()
         try:
             with pytest.raises(OSError) as err:
                 supervise_all(plans, tmp_path / "out")
-            assert err.value.errno == errno.EMFILE and len(opened) == 2
+            assert err.value.errno == errno.EMFILE and len(opened) == failing
             assert time.monotonic() - started < 1.0
             # SIGKILL is delivered at once, but a process takes a moment to exit.
             deadline = time.monotonic() + 1.0
@@ -803,6 +820,20 @@ class TestSpawnFailureAfterPopen:
         finally:
             for pid in _marked(mark):
                 os.kill(pid, signal.SIGKILL)
+
+
+class TestNewRunDir:
+    def test_a_name_another_run_claims_first_is_passed_over(self, tmp_path, monkeypatch):
+        # Another run makes runs/<stamp> after this one looked for it: Path.exists answers no, yet the
+        # directory is there, for this second and, should the clock tick over, for the next.
+        now = datetime.now(timezone.utc)
+        stamps = [(now + timedelta(seconds=s)).strftime("%Y%m%d-%H%M%S") for s in (0, 1)]
+        for stamp in stamps:
+            (tmp_path / "runs" / stamp).mkdir(parents=True)
+        monkeypatch.setattr(Path, "exists", lambda self, *args, **kwargs: False)
+        run_dir = _new_run_dir(tmp_path)
+        assert run_dir.parent == tmp_path / "runs" and run_dir.name in {f"{stamp}-1" for stamp in stamps}
+        assert run_dir.is_dir() and list(run_dir.iterdir()) == []
 
 
 def _fold_events(events):
@@ -1135,7 +1166,7 @@ def decode_counter(monkeypatch):
 
 class TestLoadRunSidecar:
     def test_run_writes_one_sidecar_per_stream_and_report_decodes_none(self, tmp_path, decode_counter):
-        run_dir, _ = run(setup_suite(worker_bench(name="keep")), POOL4, tmp_path, check_setup=False)
+        run_dir, _ = run(setup_suite(worker_bench(name="keep")), POOL4, tmp_path)
         assert sorted(p.name for p in (run_dir / "keep").glob("*.fold")) == ["0.fold", "1.fold", "2.fold", "3.fold"]
         assert not list(run_dir.glob("*/*.fold.*"))
         want = _stream_folds(run_dir, "keep")
@@ -1161,7 +1192,7 @@ class TestLoadRunSidecar:
             obs_min=5,
         )
         pool = DevicePool(devices=("d0", "d1"))
-        run_dir, records = run(setup_suite(stall, thin, gang), pool, tmp_path, check_setup=False)
+        run_dir, records = run(setup_suite(stall, thin, gang), pool, tmp_path)
         live = {r.bench: r.outcomes for r in records}
         assert {o.classified for o in live["stall"]} == {"timeout"}
         assert {(o.classified, o.message) for o in live["thin"]} == {("error", "insufficient observations")}
@@ -1176,7 +1207,7 @@ class TestLoadRunSidecar:
         assert {log.terminal for log in got} == {"error", "success"}
 
     def test_edited_stream_is_decoded_again(self, tmp_path, decode_counter):
-        run_dir, _ = run(setup_suite(worker_bench(name="keep")), POOL1, tmp_path, check_setup=False)
+        run_dir, _ = run(setup_suite(worker_bench(name="keep")), POOL1, tmp_path)
         stream = run_dir / "keep" / "0.jsonl"
         before = _stream_folds(run_dir, "keep")[0]
         # An edit that keeps the length: only the digest tells the streams apart.
@@ -1201,7 +1232,7 @@ class TestLoadRunSidecar:
         ids=["deleted", "truncated", "format", "byteorder", "unreadable"],
     )
     def test_spoilt_sidecar_falls_back_to_the_stream(self, tmp_path, decode_counter, spoil):
-        run_dir, _ = run(setup_suite(worker_bench(name="keep")), POOL1, tmp_path, check_setup=False)
+        run_dir, _ = run(setup_suite(worker_bench(name="keep")), POOL1, tmp_path)
         want = _stream_folds(run_dir, "keep")
         spoil(run_dir / "keep" / "0.fold")
         decode_counter.clear()

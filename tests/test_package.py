@@ -98,7 +98,7 @@ class TestImportHygiene:
             f"  - name: w\n    run_cmd: \"{sys.executable} -m benchforge.worker --obs-max 5 --seed {{rank}}\"\n"
             "    obs_min: 5\n    obs_max: 5\n"
         )
-        argv = ["run", "--config", str(suite), "--base-dir", str(tmp_path), "--devices", "d0,d1", "--no-setup-check"]
+        argv = ["run", "--config", str(suite), "--base-dir", str(tmp_path), "--devices", "d0,d1"]
         # ``run`` prints its summary on stdout, so the modules come on the last line.
         done = fresh_python(
             "-c",

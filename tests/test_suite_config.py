@@ -403,7 +403,7 @@ class TestTypes:
     @pytest.mark.parametrize("bench", [_VALID._replace(env={"X": 1}), _VALID._replace(name=" a")])
     def test_run_refuses_before_any_directory_exists(self, bench, tmp_path):
         with pytest.raises(SuiteError):
-            run(SuiteConfig("s", (bench,)), DevicePool(("d0",)), tmp_path, check_setup=False)
+            run(SuiteConfig("s", (bench,)), DevicePool(("d0",)), tmp_path)
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("phase", [install, prepare])
@@ -426,7 +426,7 @@ class TestTypes:
         cfg = SuiteConfig("s", (_VALID._replace(**{field: 10**5000}),))
         assert validate_suite(cfg) == [violation]
         base = tmp_path / "base"
-        for phase in (lambda cfg, base: run(cfg, DevicePool(("d0",)), base, check_setup=False), install, prepare):
+        for phase in (lambda cfg, base: run(cfg, DevicePool(("d0",)), base), install, prepare):
             with pytest.raises(SuiteError, match="too long to show"):
                 phase(cfg, base)
         assert not base.exists()
@@ -438,7 +438,7 @@ class TestTypes:
             for field in ("obs_min", "obs_max")
         ]
         with pytest.raises(SuiteError, match="obs_min must be at most"):
-            run(cfg, DevicePool(("d0",)), tmp_path, check_setup=False)
+            run(cfg, DevicePool(("d0",)), tmp_path)
         assert not (tmp_path / "runs").exists()
         defaults = SuiteConfig("s", (_VALID,), BenchmarkDefaults(obs_max=2**63))
         assert validate_suite(defaults) == ["defaults: obs_max must be at most 2**63 - 1, got 9223372036854775808"]
