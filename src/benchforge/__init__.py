@@ -16,18 +16,16 @@ class _Checked:
         return cls(*fields)
 
 
-# Submodules load on first attribute access (PEP 562), so `-m benchforge.worker` loads only protocol.
+# Submodules load on first attribute access (PEP 562), so `-m benchforge.worker` loads only events.
 _EXPORTS = {
     "aggregate": ("BenchResult", "SuiteScore", "fold_bench", "fold_outcomes", "fold_process", "suite_score"),
     "design": (
         "ClassMetrics", "CoverageReport", "MLCMatrix", "coverage_proportions",
         "mlcm_build", "mlcm_metrics",
     ),
+    "events": ("MetricEvent", "encode_event"),
     "executor": ("DevicePool", "ProcessOutcome", "ProcessPlan", "RunRecord", "plan_launches", "supervise_all"),
-    "protocol": (
-        "MetricEvent", "ObservationLog", "Rejection", "StreamDecoder",
-        "decode_event", "encode_event", "read_stream",
-    ),
+    "protocol": ("ObservationLog", "Rejection", "StreamDecoder", "decode_event", "read_stream"),
     "report": ("ReportDocument", "render_csv", "render_json", "render_report", "render_text"),
     "suite": (
         "BenchmarkSpec", "CoverageTargets", "SuiteConfig", "TaxonomyTags", "parse_suite",

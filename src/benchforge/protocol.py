@@ -7,6 +7,11 @@ worker's stderr may interleave when no dedicated channel is available).
 Wire grammar: ``<json-object>\\n`` with required keys ``event``, ``time``,
 ``task``, ``data``. Numbers are plain decimals, never NaN or Inf. See
 ``docs/protocol.md`` for the full schema and the conformance corpus.
+
+This module is the consumer half: decoding, framing and the observation
+log. The producer half, ``MetricEvent`` and ``encode_event``, lives in
+``benchforge.events``, so a worker loads neither this decoder nor
+``array``; its names are re-exported here.
 """
 
 from __future__ import annotations
@@ -18,23 +23,7 @@ from array import array
 from operator import truediv
 from typing import Any, BinaryIO, Iterable, Iterator, NamedTuple, Union
 
-from . import _Checked
-
-EVENT_KINDS = frozenset(
-    {
-        "config",
-        "start",
-        "phase",
-        "rate",
-        "loss",
-        "gpudata",
-        "progress",
-        "success",
-        "error",
-        "stop",
-        "end",
-    }
-)
+from .events import EVENT_KINDS, MetricEvent, ProtocolError, encode_event
 
 # Event kinds that may appear at most once per emitting process.
 TERMINAL_KINDS = frozenset({"success", "error"})
@@ -43,28 +32,6 @@ TERMINAL_KINDS = frozenset({"success", "error"})
 CHUNK_BYTES = 65536
 
 assert array("I").itemsize == 4  # ObservationLog.task_index is stored as u32 in a fold sidecar
-
-
-class ProtocolError(ValueError):
-    """Raised when an event cannot be encoded."""
-
-
-class _MetricEventFields(NamedTuple):
-    event: str
-    time: float
-    task: str
-    data: dict[str, Any]
-
-
-class MetricEvent(_Checked, _MetricEventFields):
-    """One line of the metric protocol. ``data`` defaults to a fresh ``{}``."""
-
-    __slots__ = ()
-
-    def __new__(cls, event: str, time: float, task: str, data: dict[str, Any] | None = None):
-        if event not in EVENT_KINDS:
-            raise ProtocolError(f"unknown event kind {event!r}")
-        return super().__new__(cls, event, time, task, {} if data is None else data)
 
 
 class Rejection(NamedTuple):
@@ -114,28 +81,6 @@ class ObservationLog:
 
     def rates(self) -> list[float]:
         return list(map(truediv, self.work, self.elapsed))
-
-
-# Payload keys are sorted by the encoder; the top-level keys are written in their fixed order.
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False, ensure_ascii=False).encode
-
-
-def encode_event(event: MetricEvent) -> str:
-    """Encode an event as exactly one canonical JSON line.
-
-    Top-level keys appear in the fixed order event, time, task, data;
-    payload keys are sorted. Output is UTF-8 safe and ends with ``\\n``.
-    """
-    try:
-        line = (
-            f'{{"event":{_ENCODE(event.event)},"time":{_ENCODE(event.time)},'
-            f'"task":{_ENCODE(event.task)},"data":{_ENCODE(event.data)}}}'
-        )
-    except (TypeError, ValueError) as exc:  # TypeError also when payload keys cannot be sorted
-        raise ProtocolError(f"payload not serializable: {exc}") from exc
-    if "\n" in line:
-        raise ProtocolError("encoded event contains interior newline")
-    return line + "\n"
 
 
 def _reject_constant(name: str) -> Any:

@@ -11,17 +11,17 @@ Also the ``benchforge-worker`` CLI, the process the executor supervises.
 
 from __future__ import annotations
 
-import argparse
 import gc
+import getopt
 import math
 import os
 import random
 import sys
 import time as _time
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TextIO
 
 from . import _Checked
-from .protocol import MetricEvent, encode_event
+from .events import MetricEvent, encode_event
 
 WORKLOAD_KINDS = ("constant", "jitter", "degrading", "crashing", "multiworker")
 
@@ -298,45 +298,83 @@ def _env_int(variable: str) -> int | None:
         raise ValueError(f"{variable} must be an integer, got {text!r}") from None
 
 
+def _metrics_channel() -> TextIO:
+    """The metric channel: the inherited file descriptor the harness exported, else stdout."""
+    fd = _env_int("BENCHFORGE_METRICS_FD")
+    if fd is None:
+        return sys.stdout
+    try:
+        return os.fdopen(fd, "w", encoding="utf-8")
+    except (OSError, TypeError, ValueError):  # ValueError for a negative number, TypeError beyond a C int
+        raise ValueError(f"BENCHFORGE_METRICS_FD {fd} is not an open file descriptor") from None
+
+
+# Each flag of the CLI, the field it sets and the type of its value. A flag left
+# out leaves its field to the record's own default, except these two.
+_FLAGS = {
+    "kind": ("kind", str),
+    "batch": ("batch_size", int),
+    "rate": ("base_rate", float),
+    "jitter": ("jitter_frac", float),
+    "crash-after": ("crash_after", int),
+    "workers": ("workers", int),
+    "batches-per-epoch": ("batches_per_epoch", int),
+    "units": ("units", str),
+    "obs-min": ("obs_min", int),
+    "obs-max": ("obs_max", int),
+    "epochs-max": ("epochs_max", int),
+    "seed": ("seed", int),
+    "task": ("task", str),
+    "sleep-per-batch": ("sleep_per_batch", float),
+}
+_OWN_DEFAULTS = {"seed": 0, "task": "train"}
+_USAGE = "usage: benchforge-worker [-h] " + " ".join(
+    f"[--{flag} {convert.__name__.upper()}]" for flag, (_, convert) in _FLAGS.items()
+)
+
+
+def _parse_args(argv: list[str]) -> dict | None:
+    """The fields that ``argv`` sets, or None for ``-h``; a bad argument raises ValueError.
+
+    Long flags take ``--flag value`` or ``--flag=value``, and a unique prefix
+    of a flag stands for it. The last of a repeated flag wins.
+    """
+    try:
+        opts, rest = getopt.getopt(argv, "h", ["help", *(f"{flag}=" for flag in _FLAGS)])
+    except getopt.GetoptError as exc:
+        raise ValueError(exc.msg) from None
+    if rest:
+        raise ValueError(f"unexpected argument {rest[0]!r}")
+    given = dict(_OWN_DEFAULTS)
+    for opt, text in opts:
+        if opt in ("-h", "--help"):
+            return None
+        field, convert = _FLAGS[opt[2:]]
+        try:
+            given[field] = convert(text)
+        except ValueError:
+            raise ValueError(f"{opt}: invalid {convert.__name__} value {text!r}") from None
+    return given
+
+
 def main(argv: list[str] | None = None) -> int:
     # The imported modules live as long as the process: keep the collector from walking them again.
     gc.freeze()
-    # A flag left out is left out of the namespace, so the field keeps its own default.
-    parser = argparse.ArgumentParser(
-        prog="benchforge-worker",
-        description="Synthetic benchmark worker speaking the metric protocol.",
-        argument_default=argparse.SUPPRESS,
-    )
-    parser.add_argument("--kind", choices=WORKLOAD_KINDS)
-    parser.add_argument("--batch", dest="batch_size", type=int, help="work items per batch")
-    parser.add_argument("--rate", dest="base_rate", type=float, help="true units of work per second")
-    parser.add_argument("--jitter", dest="jitter_frac", type=float, help="uniform jitter fraction")
-    parser.add_argument("--crash-after", type=int, metavar="N")
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--batches-per-epoch", type=int)
-    parser.add_argument("--units")
-    parser.add_argument("--obs-min", type=int, help=f"default: $BENCHFORGE_OBS_MIN, else {TimerConfig().obs_min}")
-    parser.add_argument("--obs-max", type=int, help=f"default: $BENCHFORGE_OBS_MAX, else {TimerConfig().obs_max}")
-    parser.add_argument("--epochs-max", type=int)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--task", default="train")
-    parser.add_argument("--sleep-per-batch", type=float, help="real seconds to stall per batch (timeout testing)")
-    given = vars(parser.parse_args(argv))
-
     try:
+        given = _parse_args(sys.argv[1:] if argv is None else argv)
+        if given is None:
+            print(_USAGE)
+            return 0
         spec = WorkloadSpec(**{k: v for k, v in given.items() if k in WorkloadSpec._fields})
         for field in ("obs_min", "obs_max"):
             if field not in given and (value := _env_int(f"BENCHFORGE_{field.upper()}")) is not None:
                 given[field] = value
         cfg = TimerConfig(**{k: v for k, v in given.items() if k in TimerConfig._fields})
         _check_virtual_time(spec, cfg)
-        # The metric channel: an inherited file descriptor, else stdout.
-        metrics_fd = _env_int("BENCHFORGE_METRICS_FD")
+        channel = _metrics_channel()
     except ValueError as exc:
         print(f"benchforge-worker: {exc}", file=sys.stderr)
         return 2
-
-    channel = sys.stdout if metrics_fd is None else os.fdopen(metrics_fd, "w", encoding="utf-8")
 
     def emit(event: MetricEvent) -> None:
         # Flushed per line: the harness folds the stream live, and a killed worker loses no line it emitted.

@@ -75,7 +75,8 @@ def modules_after(statement: str) -> set[str]:
 class TestImportHygiene:
     def test_worker_import_loads_no_harness_module(self):
         loaded = modules_after("import benchforge.worker")
-        assert "benchforge.protocol" in loaded
+        assert "benchforge.events" in loaded
+        assert not loaded & {"benchforge.protocol", "array", "argparse"}
         assert not loaded & set(HARNESS_ONLY)
 
     def test_worker_import_loads_neither_dataclasses_nor_inspect(self):

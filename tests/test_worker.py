@@ -1,14 +1,19 @@
 """Measurement-loop tests: budgets, deferred flushing, determinism."""
 
-import argparse
 import gc
 import hashlib
+import os
 import random
+from typing import get_type_hints
 
 import pytest
 
+from benchforge import worker
 from benchforge.executor import LogFold
 from benchforge.worker import (
+    _FLAGS,
+    _OWN_DEFAULTS,
+    _USAGE,
     TimerConfig,
     WorkloadSpec,
     flush_epoch,
@@ -339,10 +344,92 @@ class TestValidation:
         assert captured.err == f"benchforge-worker: {variable} must be an integer, got {value!r}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["-1", "closed", str(2**40)])
+    def test_cli_refuses_a_metrics_fd_that_is_not_open(self, value, monkeypatch, capsys):
+        if value == "closed":
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            os.close(write_end)
+            value = str(write_end)
+        monkeypatch.setenv("BENCHFORGE_METRICS_FD", value)
+        assert main([]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"benchforge-worker: BENCHFORGE_METRICS_FD {value} is not an open file descriptor\n"
+        assert captured.out == ""
+
     def test_smallest_rate_that_fits_still_runs(self, capsys):
         # 250 batches of 32 items last 8e306 virtual seconds: large, but finite.
         assert main(["--rate", "1e-303"]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--nope", "1"], "option --nope not recognized"),
+            (["-x"], "option -x not recognized"),
+            (["--rate"], "option --rate requires argument"),
+            (["--batch", "1.5"], "--batch: invalid int value '1.5'"),
+            (["--rate", "fast"], "--rate: invalid float value 'fast'"),
+            (["--obs", "5"], "option --obs not a unique prefix"),
+            (["stray"], "unexpected argument 'stray'"),
+            (["--seed", "3", "stray"], "unexpected argument 'stray'"),
+            (["--help=1"], "option --help must not have an argument"),
+            (["--kind", "bogus"], "unknown workload kind 'bogus'"),
+        ],
+        ids=["unknown", "unknown-short", "missing-value", "bad-int", "bad-float", "ambiguous", "positional",
+             "positional-after-flag", "help-with-value", "bad-kind"],
+    )
+    def test_bad_argument_is_refused_on_one_line(self, argv, reason, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"benchforge-worker: {reason}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--seed", "1", "--he"]])
+    def test_help_prints_one_usage_line(self, argv, capsys):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == _USAGE + "\n"
+        assert captured.err == ""
+        assert all(f"[--{flag} " in captured.out for flag in _FLAGS)
+
+    def test_flag_with_equals_sign_is_the_flag_and_its_value(self, monkeypatch, capsys):
+        monkeypatch.delenv("BENCHFORGE_METRICS_FD", raising=False)
+        assert main(["--kind=jitter", "--jitter=0.25", "--seed=7", "--obs-max=40"]) == 0
+        joined = capsys.readouterr().out
+        assert main(["--kind", "jitter", "--jitter", "0.25", "--seed", "7", "--obs-max", "40"]) == 0
+        assert capsys.readouterr().out == joined
+        assert rate_lines(joined) == 40
+
+    def test_unique_prefix_stands_for_its_flag(self, monkeypatch, capsys):
+        monkeypatch.delenv("BENCHFORGE_METRICS_FD", raising=False)
+        assert main(["--kind", "crashing", "--crash", "3", "--batches-per", "2"]) == 1
+        short = capsys.readouterr().out
+        assert main(["--kind", "crashing", "--crash-after", "3", "--batches-per-epoch", "2"]) == 1
+        assert capsys.readouterr().out == short
+        assert rate_lines(short) == 3
+
+    def test_last_of_a_repeated_flag_wins(self):
+        assert worker._parse_args(["--seed", "1", "--seed", "2"])["seed"] == 2
+
+
+class TestFlagTable:
+    def test_every_record_field_has_exactly_one_flag(self):
+        fields = [field for field, _ in _FLAGS.values()]
+        assert len(fields) == len(set(fields))
+        assert set(fields) == {*WorkloadSpec._fields, *TimerConfig._fields, *_OWN_DEFAULTS}
+
+    def test_seed_and_task_are_the_only_defaults_of_their_own(self):
+        assert _OWN_DEFAULTS == {"seed": 0, "task": "train"}
+        assert not _OWN_DEFAULTS.keys() & {*WorkloadSpec._fields, *TimerConfig._fields}
+        assert worker._parse_args([]) == _OWN_DEFAULTS
+
+    def test_each_flag_converts_to_the_type_of_its_field(self):
+        hints = {**get_type_hints(WorkloadSpec), **get_type_hints(TimerConfig), "seed": int, "task": str}
+        for field, convert in _FLAGS.values():
+            assert hints[field] in (convert, convert | None), field
 
 
 def rate_lines(text: str) -> int:
@@ -428,14 +515,14 @@ def test_exit_code_agrees_with_the_harness_fold(argv, code, monkeypatch, capsys)
 
 def test_main_freezes_the_heap_before_parsing_arguments(monkeypatch, capsys):
     calls = []
-    parse_args = argparse.ArgumentParser.parse_args
+    parse_args = worker._parse_args
 
-    def parse_spy(self, *args, **kwargs):
+    def parse_spy(argv):
         calls.append("parse_args")
-        return parse_args(self, *args, **kwargs)
+        return parse_args(argv)
 
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_spy)
+    monkeypatch.setattr(worker, "_parse_args", parse_spy)
     monkeypatch.delenv("BENCHFORGE_METRICS_FD", raising=False)
     assert main(["--obs-min", "1", "--obs-max", "1"]) == 0
     assert calls == ["freeze", "parse_args"]
