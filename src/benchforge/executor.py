@@ -12,7 +12,8 @@ reads every child's pipe and watches each child's exit and timeout; every
 kill goes through ``_Child.stop``, which kills and reaps the child's group.
 
 Run layout: ``<base>/runs/<stamp>/<bench>/<rank>.jsonl`` plus
-``meta.json``, ``suite.yaml``, per-benchmark ``outcomes.json`` and, next
+``meta.json``, ``suite.yaml``, its JSON copy ``suite.json`` that lets
+``load_run`` skip parsing YAML, per-benchmark ``outcomes.json`` and, next
 to each stream, the ``<rank>.fold`` sidecar that lets ``load_run`` skip
 decoding it again.
 """
@@ -39,7 +40,7 @@ from .protocol import (
 )
 from .suite import (
     BenchmarkSpec, SuiteConfig, SuiteError, benchmark_violations, parse_suite, render_suite, resolve_command,
-    text_sha256, validate_suite,
+    suite_document, suite_from_document, text_sha256, validate_suite,
 )
 
 INSTALL_STAMP = ".installed"
@@ -566,9 +567,12 @@ def run(
     run_dir = _new_run_dir(base_dir)
     rendered = render_suite(cfg)
     (run_dir / "suite.yaml").write_text(rendered, encoding="utf-8")
+    document = json.dumps(suite_document(cfg)).encode("ascii")
+    (run_dir / "suite.json").write_bytes(document)
     meta = {
         "suite_name": cfg.suite_name,
         "suite_sha256": text_sha256(rendered),
+        "suite_json_sha256": hashlib.sha256(document).hexdigest(),
         "system": system or os.uname().nodename,
         "created_unix": time.time(),
         "pool": {"devices": list(pool.devices), "nodes": pool.nodes},
@@ -647,6 +651,8 @@ class LoadedRun(NamedTuple):
 def load_run(run_dir: Path | str) -> LoadedRun:
     """Read a completed run directory back into foldable records.
 
+    The suite is ``suite.json``'s when ``meta.json`` holds the digest of its
+    bytes, and else the parse of ``suite.yaml``, which is checked either way.
     Each process's log comes from its ``<rank>.fold`` sidecar when that
     holds the fold of the stream as it now is, and otherwise from
     ``<rank>.jsonl``, read in ``CHUNK_BYTES`` chunks and folded by one
@@ -670,7 +676,7 @@ def load_run(run_dir: Path | str) -> LoadedRun:
         suite_text = suite_bytes.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SuiteError(f"{run_dir / 'suite.yaml'} is not UTF-8: {exc}") from None
-    suite = parse_suite(suite_text)
+    suite = _suite_json(run_dir, meta) or parse_suite(suite_text)
 
     records: dict[str, RunRecord] = {}
     for bench in suite.enabled_benchmarks():
@@ -696,6 +702,27 @@ def load_run(run_dir: Path | str) -> LoadedRun:
         # report reads no phase timing, so none is loaded.
         records[bench.name] = RunRecord(bench.name, outcomes, {}, payload.get("error"))
     return LoadedRun(meta=meta, suite=suite, records=records)
+
+
+def _suite_json(run_dir: Path, meta: dict) -> SuiteConfig | None:
+    """The suite from ``suite.json`` when its bytes hash to ``meta.json``'s ``suite_json_sha256``, else None.
+
+    The digest lives in ``meta.json``, so a cut or edited ``suite.json`` is
+    never read, and ``suite.yaml``, already checked, decides the suite.
+    """
+    digest = meta.get("suite_json_sha256")
+    if not isinstance(digest, str):
+        return None
+    try:
+        data = (run_dir / "suite.json").read_bytes()
+    except OSError:  # none, as in a run directory written before suite.json existed
+        return None
+    if hashlib.sha256(data).hexdigest() != digest:
+        return None
+    try:
+        return suite_from_document(json.loads(data))
+    except (ValueError, RecursionError):  # SuiteError too; the digest matched, so meta.json was edited to match
+        return None
 
 
 def _json_object(path: Path) -> dict:

@@ -2,7 +2,10 @@
 
 A suite is fully described by one YAML document with top-level keys
 ``suite``, ``defaults``, ``targets`` and ``benchmarks``. Unknown keys are
-rejected rather than ignored: silent typos corrupt procurement runs.
+rejected rather than ignored: silent typos corrupt procurement runs. The
+same document decoded from JSON builds the same suite, so a reader of
+``run``'s ``suite.json`` needs no YAML parser; ``yaml`` is imported only
+where a suite is parsed from or rendered to YAML.
 """
 
 from __future__ import annotations
@@ -14,17 +17,16 @@ import sys
 from collections.abc import Hashable
 from typing import Any, NamedTuple
 
-import yaml
-
 from . import _Checked
 
 SCALE_MODES = ("single-device", "node-devices", "multi-node")
 
-# libyaml's loader is about ten times faster than the pure one; PyYAML built
-# without libyaml has only the pure one. Rendering keeps the pure dumper:
-# libyaml wraps long escaped strings and writes empty keys differently, and
-# any change to the rendered text would change ``SuiteConfig.sha256``.
-_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# The YAML loader of ``parse_suite``. None picks libyaml's where PyYAML was
+# built with it, since it is about ten times faster, and else the pure one.
+# Rendering keeps the pure dumper: libyaml wraps long escaped strings and
+# writes empty keys differently, and any change to the rendered text would
+# change ``SuiteConfig.sha256``.
+_Loader = None
 
 DEFAULT_OBS_MIN = 30
 DEFAULT_OBS_MAX = 60
@@ -119,23 +121,36 @@ class SuiteConfig(NamedTuple):
 def parse_suite(text: str) -> SuiteConfig:
     """Parse a YAML suite document into a fully populated SuiteConfig.
 
-    Suite defaults are applied to every per-benchmark field that the
-    document leaves absent; per-benchmark values always win. Parsing
-    decodes the document's shape only: it makes an int a float where the
-    field is a number and an env scalar text, and leaves every type and
-    value rule to ``validate_suite``, whose first violation it raises.
-
     Raises:
-        SuiteError: on YAML syntax errors (position reported), a part that
-            is not a mapping or list, unknown keys, or a ``validate_suite``
-            violation.
+        SuiteError: on YAML syntax errors (position reported), or whatever
+            ``suite_from_document`` refuses in the loaded document.
     """
+    import yaml
+
     # A scalar the loader cannot build, such as a date out of range or an int
     # past Python's digit limit, raises ValueError rather than a YAMLError.
     try:
-        raw = yaml.load(text, Loader=_Loader)
+        raw = yaml.load(text, Loader=_Loader or getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except (yaml.YAMLError, ValueError) as exc:
         raise SuiteError(f"suite document is not valid YAML: {exc}") from exc
+    return suite_from_document(raw)
+
+
+def suite_from_document(raw: Any) -> SuiteConfig:
+    """Build a fully populated SuiteConfig from a decoded suite document.
+
+    ``raw`` is what a YAML or JSON decoder made of the document, such as
+    ``suite_document``'s mapping read back from ``suite.json``. Suite
+    defaults are applied to every per-benchmark field that the document
+    leaves absent; per-benchmark values always win. Building decodes the
+    document's shape only: it makes an int a float where the field is a
+    number and an env scalar text, and leaves every type and value rule to
+    ``validate_suite``, whose first violation it raises.
+
+    Raises:
+        SuiteError: on an empty document, a part that is not a mapping or
+            list, unknown keys, or a ``validate_suite`` violation.
+    """
     if raw is None:
         raise SuiteError("suite document is empty")
     if not isinstance(raw, dict):
@@ -434,11 +449,11 @@ def _matches(bench: BenchmarkSpec, term: str) -> bool:
     return value in bench.tags.labels(target)
 
 
-def render_suite(cfg: SuiteConfig) -> str:
-    """Render a SuiteConfig back to YAML such that reparsing round-trips.
+def suite_document(cfg: SuiteConfig) -> dict[str, Any]:
+    """The suite as plain data, which ``suite_from_document`` builds back into the suite.
 
-    Every field is written explicitly, except the ``_WHEN_SET`` ones, so
-    the output is also the canonical form hashed by ``SuiteConfig.sha256``.
+    Every field is written explicitly, except the ``_WHEN_SET`` ones.
+    ``render_suite`` dumps this mapping as YAML, and ``run`` writes it as JSON.
     """
     doc: dict[str, Any] = {
         "suite": cfg.suite_name,
@@ -450,7 +465,18 @@ def render_suite(cfg: SuiteConfig) -> str:
             dim: {col: _as_float(p) for col, p in sorted(columns.items())}
             for dim, columns in sorted(cfg.targets.dimensions.items())
         }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
+    return doc
+
+
+def render_suite(cfg: SuiteConfig) -> str:
+    """Render a SuiteConfig back to YAML such that reparsing round-trips.
+
+    The YAML of ``suite_document``, so the output is also the canonical
+    form hashed by ``SuiteConfig.sha256``.
+    """
+    import yaml
+
+    return yaml.safe_dump(suite_document(cfg), sort_keys=False, default_flow_style=False)
 
 
 def text_sha256(rendered: str) -> str:

@@ -304,9 +304,14 @@ def _metrics_channel() -> TextIO:
     if fd is None:
         return sys.stdout
     try:
-        return os.fdopen(fd, "w", encoding="utf-8")
+        channel = os.fdopen(fd, "w", encoding="utf-8")
     except (OSError, TypeError, ValueError):  # ValueError for a negative number, TypeError beyond a C int
         raise ValueError(f"BENCHFORGE_METRICS_FD {fd} is not an open file descriptor") from None
+    try:  # fdopen does not check the mode; writing nothing to a read-only descriptor fails with EBADF
+        os.write(fd, b"")
+    except OSError:
+        raise ValueError(f"BENCHFORGE_METRICS_FD {fd} is not open for writing") from None
+    return channel
 
 
 # Each flag of the CLI, the field it sets and the type of its value. A flag left

@@ -36,8 +36,8 @@ def test_a_tree_is_equivalent_to_itself(tmp_path):
     code, result, err = _equivalence(REPO_DIR, tmp_path, "row.stopped_by")
     assert (code, result["ok"], result["unexpected"], result["expected"]) == (0, True, {}, {}), err
     assert result["expected_but_unchanged"] == ["row.stopped_by"]
-    # Two benchmarks of two processes: four streams, four sidecars and suite.yaml.
-    assert result["compared"] == result["identical"] == {"files": 9, "rows": 4, "reports": 18}
+    # Two benchmarks of two processes: four streams, four sidecars, suite.yaml and suite.json.
+    assert result["compared"] == result["identical"] == {"files": 10, "rows": 4, "reports": 18}
     assert result["skipped"]["row"] == ["duration_s", "cpu_s", "maxrss_kb"]
 
 
@@ -53,4 +53,4 @@ def test_one_changed_byte_in_render_text_is_caught(tmp_path):
     # Only the text reports differ: six of them, for each run directory and both, with and without warmup.
     assert result["unexpected"].keys() == {"report.text"}
     assert result["unexpected"]["report.text"]["count"] == 6
-    assert result["identical"] == {"files": 9, "rows": 4, "reports": 12}
+    assert result["identical"] == {"files": 10, "rows": 4, "reports": 12}

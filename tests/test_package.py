@@ -92,6 +92,10 @@ class TestImportHygiene:
     def test_cli_import_does_not_load(self, module):
         assert module not in modules_after("import benchforge.cli")
 
+    def test_cli_import_loads_no_yaml(self):
+        # Only a command that parses or renders a suite's YAML imports it; report reads suite.json.
+        assert "yaml" not in modules_after("import benchforge.cli")
+
     def test_run_does_not_load_the_thread_pool(self, tmp_path):
         suite = tmp_path / "s.yaml"
         suite.write_text(
@@ -111,6 +115,7 @@ class TestImportHygiene:
         assert code == 0
         assert "benchforge.executor" in loaded
         assert "concurrent.futures" not in loaded
+        assert "yaml" in loaded
 
     def test_report_loads_no_process_module(self, tmp_path):
         from test_report_differential import _line, write_run
@@ -131,6 +136,7 @@ class TestImportHygiene:
         assert code == 0
         assert "benchforge.executor" in loaded
         assert not set(loaded) & set(PROCESS_ONLY)
+        assert (tmp_path / "run" / "suite.json").exists() and "yaml" not in loaded
 
     def test_cli_import_loads_every_traced_layer(self):
         loaded = modules_after("import benchforge.cli")

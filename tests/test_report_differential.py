@@ -1,13 +1,14 @@
 """Differential check of ``report`` on generated run directories.
 
 Each example writes a run directory directly, as ``run`` would have left
-it, with no child process: a rendered ``suite.yaml``, ``meta.json``, one
-``outcomes.json`` per enabled benchmark, and per process a metric stream
-and maybe its ``.fold`` sidecar. ``report --format json`` is compared with
-an oracle written here from docs/protocol.md and the score formula, at
-the tolerance of ``perfbench/oracle.py``. Metamorphic properties ride
-along: deleting every sidecar leaves the text, CSV and JSON bytes
-unchanged; permuting the benchmarks or scaling every weight by one
+it, with no child process: a rendered ``suite.yaml`` and its JSON copy
+``suite.json``, ``meta.json``, one ``outcomes.json`` per enabled
+benchmark, and per process a metric stream and maybe its ``.fold``
+sidecar. ``report --format json`` is compared with an oracle written here
+from docs/protocol.md and the score formula, at the tolerance of
+``perfbench/oracle.py``. Metamorphic properties ride along: deleting
+every sidecar, and then ``suite.json``, leaves the text, CSV and JSON
+bytes unchanged; permuting the benchmarks or scaling every weight by one
 positive factor leaves the score unchanged; raising one benchmark's rates
 never lowers it; and adding a weight-0 benchmark never moves it.
 """
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from benchforge.cli import main
 from benchforge.executor import LogFold, fold_sidecar
-from benchforge.suite import SCALE_MODES, BenchmarkSpec, SuiteConfig, render_suite, text_sha256
+from benchforge.suite import SCALE_MODES, BenchmarkSpec, SuiteConfig, render_suite, suite_document, text_sha256
 from conftest import REPO_DIR
 
 
@@ -139,10 +140,19 @@ def write_run(run_dir: Path, benches: list[dict], order: list[int]) -> None:
         )
         for i in order
     )
-    rendered = render_suite(SuiteConfig("differential", specs))
+    cfg = SuiteConfig("differential", specs)
+    rendered = render_suite(cfg)
+    document = json.dumps(suite_document(cfg)).encode("ascii")
     run_dir.mkdir(parents=True)
     (run_dir / "suite.yaml").write_text(rendered, encoding="utf-8")
-    meta = {"suite_name": "differential", "suite_sha256": text_sha256(rendered), "system": SYSTEM, "pool": None}
+    (run_dir / "suite.json").write_bytes(document)
+    meta = {
+        "suite_name": "differential",
+        "suite_sha256": text_sha256(rendered),
+        "suite_json_sha256": hashlib.sha256(document).hexdigest(),
+        "system": SYSTEM,
+        "pool": None,
+    }
     (run_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
     for i in order:
         bench = benches[i]
@@ -254,6 +264,8 @@ def test_report_matches_the_oracle_and_its_metamorphic_properties(benches, keep_
 
         for sidecar in run_dir.glob("*/*.fold"):
             sidecar.unlink()
+        assert {fmt: report(run_dir, fmt, keep_warmup) for fmt in rendered} == rendered
+        (run_dir / "suite.json").unlink()
         assert {fmt: report(run_dir, fmt, keep_warmup) for fmt in rendered} == rendered
 
         other = Path(tmp) / "permuted"

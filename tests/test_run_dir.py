@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchforge.cli import main
-from test_report_differential import _runs, write_run
+from test_report_differential import _runs, report, write_run
 
 _STREAM = (
     b'{"event":"rate","time":1,"task":"train","data":{"batch":4,"rate":2,"units":"x"}}\n'
@@ -134,3 +134,44 @@ def test_any_cut_or_flipped_byte_reports_or_exits_4(benches, fmt, data):
         path = run_dir / data.draw(st.sampled_from(["meta.json", "suite.yaml", *outcomes]), label="file")
         path.write_bytes(_damaged(path.read_bytes(), data.draw))
         assert _report(run_dir, fmt) in (0, 4)
+
+
+def test_reweighted_suite_yaml_exits_4_beside_an_intact_suite_json(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    write_run(run_dir, BENCHES, [0, 1])
+    meta = json.loads((run_dir / "meta.json").read_text())
+    assert hashlib.sha256((run_dir / "suite.json").read_bytes()).hexdigest() == meta["suite_json_sha256"]
+    _reweigh(run_dir / "suite.yaml")
+    capsys.readouterr()
+    assert _report(run_dir, "json") == 4
+    assert "suite.yaml does not match the suite_sha256" in capsys.readouterr().err
+
+
+def _reports(run_dir: Path, keep_warmup: bool) -> dict[str, str]:
+    return {fmt: report(run_dir, fmt, keep_warmup) for fmt in ("text", "csv", "json")}
+
+
+@settings(max_examples=40, deadline=None)
+@given(benches=_runs, keep_warmup=st.booleans(), data=st.data())
+def test_damaged_suite_json_or_digest_reports_as_the_intact_directory(benches, keep_warmup, data):
+    # suite.yaml is the reference: a suite.json that does not hash to its digest is not read.
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp) / "run"
+        write_run(run_dir, benches, list(range(len(benches))))
+        intact = _reports(run_dir, keep_warmup)
+        meta = json.loads((run_dir / "meta.json").read_text())
+        damage = data.draw(st.sampled_from(["file", "digest", "digest-not-text", "no-digest", "no-file"]))
+        if damage == "file":
+            path = run_dir / "suite.json"
+            path.write_bytes(_damaged(path.read_bytes(), data.draw))
+        elif damage == "digest":
+            digest = meta["suite_json_sha256"].encode("ascii")
+            meta["suite_json_sha256"] = _damaged(digest, data.draw).decode("latin-1")
+        elif damage == "digest-not-text":
+            meta["suite_json_sha256"] = data.draw(st.sampled_from([None, 1, [meta["suite_json_sha256"]]]))
+        elif damage == "no-digest":
+            del meta["suite_json_sha256"]
+        else:
+            (run_dir / "suite.json").unlink()
+        (run_dir / "meta.json").write_text(json.dumps(meta))
+        assert _reports(run_dir, keep_warmup) == intact

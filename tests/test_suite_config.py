@@ -23,6 +23,8 @@ from benchforge.suite import (
     render_suite,
     resolve_command,
     select_benchmarks,
+    suite_document,
+    suite_from_document,
     validate_suite,
 )
 
@@ -566,6 +568,21 @@ class TestRoundTrip:
             assert parsed == cfg
             assert parsed.sha256() == cfg.sha256()
 
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=st.deferred(lambda: _suites))
+    def test_json_document_builds_what_the_yaml_parses(self, cfg):
+        document = json.loads(json.dumps(suite_document(cfg)))
+        try:
+            parsed = parse_suite(render_suite(cfg))
+        except SuiteError as exc:
+            with pytest.raises(SuiteError) as err:
+                suite_from_document(document)
+            assert str(err.value) == str(exc)
+        else:
+            built = suite_from_document(document)
+            assert built == parsed
+            assert built.sha256() == parsed.sha256()
+
     def test_an_int_timeout_hashes_as_its_float(self):
         cfg = SuiteConfig("s", (BenchmarkSpec(name="a", run_cmd="w", timeout_s=300, obs_min=30),))
         assert cfg.sha256().startswith("cdecff9aaaab")
@@ -680,7 +697,7 @@ class TestYamlLoaders:
         assert fast.sha256() == pure.sha256()
 
     def test_syntax_error_reports_position_with_either_loader(self, monkeypatch):
-        for loader in {suite_module._Loader, yaml.SafeLoader}:
+        for loader in {getattr(yaml, "CSafeLoader", yaml.SafeLoader), yaml.SafeLoader}:
             monkeypatch.setattr(suite_module, "_Loader", loader)
             with pytest.raises(SuiteError, match="line 2"):
                 parse_suite("suite: [unclosed\nbenchmarks:\n")

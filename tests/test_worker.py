@@ -357,6 +357,20 @@ class TestValidation:
         assert captured.err == f"benchforge-worker: BENCHFORGE_METRICS_FD {value} is not an open file descriptor\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("kind", ["dev-null-read-only", "pipe-read-end"])
+    def test_cli_refuses_a_metrics_fd_that_is_read_only(self, kind, monkeypatch, capsys):
+        if kind == "pipe-read-end":
+            fd, write_end = os.pipe()
+            os.close(write_end)
+        else:
+            fd = os.open(os.devnull, os.O_RDONLY)
+        monkeypatch.setenv("BENCHFORGE_METRICS_FD", str(fd))
+        # The refused channel closes fd, so the test does not close it again.
+        assert main(["--obs-min", "1", "--obs-max", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"benchforge-worker: BENCHFORGE_METRICS_FD {fd} is not open for writing\n"
+        assert captured.out == ""
+
     def test_smallest_rate_that_fits_still_runs(self, capsys):
         # 250 batches of 32 items last 8e306 virtual seconds: large, but finite.
         assert main(["--rate", "1e-303"]) == 0
